@@ -19,8 +19,9 @@ Beyond the per-experiment kernels the report tracks five scaling baselines:
   ``jobs=1`` vs ``jobs=4`` (the process-parallel trial runner's speedup).
 * ``skew_datagen`` — the Figure 7 / Figure 11 skewed instance builds with the
   cached-table samplers vs the legacy per-call ``Generator.choice`` path.
-* ``cache_backends`` — Table 1 under the local vs the shared cache backend
-  (same pool size), with the shared tier's cross-worker hit rates.
+* ``cache_backends`` — Table 1 under the local backend vs the remote
+  backend with an embedded cache server (same pool size), with the remote
+  tier's cross-worker hit rate.
 * ``run_wide_scheduler`` — a two-experiment run with one pool per experiment
   (transient schedulers) vs one session pool serving the whole run.
 * ``serving_throughput`` — the online query server's requests/sec at 1..16
@@ -273,44 +274,51 @@ def bench_parallel_runner(repeats: int, jobs: int = 4, graph_scale: float = 0.25
 
 
 def bench_cache_backends(repeats: int, jobs: int = 4, rows: int = 24_000) -> dict:
-    """Table 1 under the local vs the shared cache backend, same pool size.
+    """Table 1 under the local backend vs the remote backend with an embedded
+    cache server (``--cache-backend remote --cache-path``), same pool size.
 
-    The interesting number on a multicore host is the shared tier's hit rate:
-    every cross-worker hit is a selection mask, contribution vector, cube or
+    The interesting number on a multicore host is the remote tier's hit
+    rate: every remote hit is a selection mask, contribution vector, cube or
     exact answer one worker obtained from another worker's (or the parent
-    warm-up's) work instead of recomputing it.  On a single-CPU container the
-    wall-clock comparison mostly measures manager round-trips; the hit
-    counters are meaningful everywhere.
+    warm-up's) work instead of recomputing it.  Every remote repeat starts
+    its server on a fresh file, so no repeat is served from an earlier
+    repeat's disk state.
     """
-    timings = {"local": [], "shared": []}
+    import tempfile
+
+    timings = {"local": [], "remote": []}
     stats = {}
-    for label in ("local", "shared"):
-        for index in range(repeats):
-            _clear_caches()
-            config = ExperimentConfig(
-                epsilons=(0.1, 0.5, 1.0),
-                trials=3,
-                rows_per_scale_factor=rows,
-                jobs=jobs,
-                cache_backend=label,
-            )
-            start = time.perf_counter()
-            with evaluation_session(config):
-                table1.run(config)
-                if index == repeats - 1:
-                    run_stats = active_backend().stats()
-            timings[label].append(time.perf_counter() - start)
-        stats[label] = run_stats.as_dict()
-        stats[label]["shared_hit_rate"] = round(run_stats.shared_hit_rate, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label in ("local", "remote"):
+            for index in range(repeats):
+                _clear_caches()
+                config = ExperimentConfig(
+                    epsilons=(0.1, 0.5, 1.0),
+                    trials=3,
+                    rows_per_scale_factor=rows,
+                    jobs=jobs,
+                    cache_backend=label,
+                    cache_path=(
+                        os.path.join(tmp, f"cache-{index}.db") if label == "remote" else None
+                    ),
+                )
+                start = time.perf_counter()
+                with evaluation_session(config):
+                    table1.run(config)
+                    if index == repeats - 1:
+                        run_stats = active_backend().stats()
+                timings[label].append(time.perf_counter() - start)
+            stats[label] = run_stats.as_dict()
+            stats[label]["remote_hit_rate"] = round(run_stats.shared_hit_rate, 4)
     local_mean = sum(timings["local"]) / repeats
-    shared_mean = sum(timings["shared"]) / repeats
+    remote_mean = sum(timings["remote"]) / repeats
     return {
         "jobs": jobs,
         "cpus": os.cpu_count() or 1,
         "rows_per_scale_factor": rows,
         "local_mean_s": round(local_mean, 6),
-        "shared_mean_s": round(shared_mean, 6),
-        "local_over_shared": round(local_mean / shared_mean, 3),
+        "remote_mean_s": round(remote_mean, 6),
+        "local_over_remote": round(local_mean / remote_mean, 3),
         "stats": stats,
         "samples": {k: [round(s, 6) for s in v] for k, v in timings.items()},
     }
@@ -1273,10 +1281,10 @@ def run_benchmarks(repeats: int = 3, quick_mode: bool = False) -> dict:
 
     backend_rows = 8_000 if quick_mode else 24_000
     backends = bench_cache_backends(repeats, rows=backend_rows)
-    shared_stats = backends["stats"]["shared"]
+    remote_stats = backends["stats"]["remote"]
     print(f"{'cache_backends':>15}: local {backends['local_mean_s']*1000:8.1f} ms, "
-          f"shared {backends['shared_mean_s']*1000:.1f} ms "
-          f"(shared hit rate {shared_stats['shared_hit_rate']:.1%}, "
+          f"remote {backends['remote_mean_s']*1000:.1f} ms "
+          f"(remote hit rate {remote_stats['remote_hit_rate']:.1%}, "
           f"{backends['cpus']} cpu(s))")
 
     run_wide = bench_run_wide_scheduler(repeats, rows=backend_rows)

@@ -8,16 +8,18 @@ The package splits what used to be hard-wired inside
 * :mod:`repro.db.cache.backend` — the :class:`CacheBackend` protocol, the
   region vocabulary and the :class:`CacheStats` counters;
 * the interchangeable implementations:
-  :class:`~repro.db.cache.local.LocalCacheBackend` (in-process, default),
-  :class:`~repro.db.cache.shared.SharedMemoryCacheBackend` (cross-worker,
-  Manager-based) and :class:`~repro.db.cache.remote.RemoteCacheBackend`
-  (a TCP client of the out-of-process persistent cache server in
-  :mod:`repro.db.cache.server`).  See ``docs/CACHE.md``.
+  :class:`~repro.db.cache.local.LocalCacheBackend` (in-process, default)
+  and :class:`~repro.db.cache.remote.RemoteCacheBackend` (a TCP client of
+  the out-of-process persistent cache server in
+  :mod:`repro.db.cache.server`; the one cross-process path, which a run's
+  forked workers share through ``--cache-path``).  One
+  :class:`~repro.db.cache.local.UtilityCache` implements eviction for both
+  the in-process tier and the server.  See ``docs/CACHE.md``.
 
 One backend instance is *active* per process at any time
 (:func:`active_backend`); every engine obtained through
 ``ExecutionEngine.for_database`` routes its cache traffic through it
-dynamically, so installing a backend (``--cache-backend shared``) takes
+dynamically, so installing a backend (``--cache-backend remote``) takes
 effect for every database in the run — including engines that already exist,
 and engines inherited by forked pool workers.  Engines constructed directly
 (``ExecutionEngine(db)``) get a private local backend instead and are fully
@@ -46,10 +48,9 @@ from repro.db.cache.fingerprints import (
     query_fingerprint,
     selection_fingerprint,
 )
-from repro.db.cache.local import LocalCacheBackend, LruCache
+from repro.db.cache.local import LocalCacheBackend
 from repro.db.cache.remote import RemoteCacheBackend, parse_cache_url
 from repro.db.cache.ring import HashRing
-from repro.db.cache.shared import SharedMemoryCacheBackend
 from repro.db.cache.sharded import ShardedCacheBackend, parse_shard_urls
 
 __all__ = [
@@ -61,12 +62,10 @@ __all__ = [
     "EVICTION_POLICIES",
     "HashRing",
     "LocalCacheBackend",
-    "LruCache",
     "REGIONS",
     "RemoteCacheBackend",
     "SHARED_REGIONS",
     "ShardedCacheBackend",
-    "SharedMemoryCacheBackend",
     "active_backend",
     "backend_scope",
     "database_fingerprint",
@@ -82,7 +81,7 @@ __all__ = [
 ]
 
 #: Backend names accepted by configuration (CLI ``--cache-backend``).
-CACHE_BACKENDS: tuple[str, ...] = ("local", "shared", "remote")
+CACHE_BACKENDS: tuple[str, ...] = ("local", "remote")
 
 
 def make_backend(
@@ -96,34 +95,27 @@ def make_backend(
 ) -> CacheBackend:
     """Build a cache backend by its configuration name.
 
-    ``max_entries`` bounds every bounded region; for the shared and remote
-    backends the cross-process tier is bounded proportionally (16 ×
-    ``max_entries``, the default 192 → 3072 entries) so ``--cache-size``
-    also governs the out-of-process footprint.  ``policy`` selects the
-    eviction policy of every bounded tier (``--cache-policy``, default
-    cost-normalized utility); ``max_bytes`` adds a byte budget per bounded
-    store (``--cache-max-bytes``), with the cross-process tiers again
-    bounded at 16 × that budget.  The remote backend needs a server: ``url``
+    ``max_entries`` bounds every bounded region; for the remote backend an
+    embedded server is bounded proportionally (16 × ``max_entries``, the
+    default 192 → 3072 entries) so ``--cache-size`` also governs the
+    out-of-process footprint.  ``policy`` selects the eviction policy of
+    every bounded tier (``--cache-policy``, default cost-normalized
+    utility); ``max_bytes`` adds a byte budget per bounded store
+    (``--cache-max-bytes``), with an embedded server again bounded at 16 ×
+    that budget.  The remote backend needs a server: ``url``
     (``--cache-url host:port``) names a running
     ``python -m repro.db.cache.server``; ``path`` (``--cache-path``) starts
-    an embedded one persisting to that sqlite file instead.  A
+    an embedded one persisting to that sqlite file instead, which every
+    worker the run forks afterwards shares.  A
     *comma-separated* ``url`` list (``--cache-url h:p1,h:p2``) shards the
     keyspace across those servers on a consistent-hash ring
     (:class:`~repro.db.cache.sharded.ShardedCacheBackend`); ``replicas``
     then writes each entry to that many distinct shards and reads fail over
     when a primary's breaker is open.
     """
-    shared_bytes = None if max_bytes is None else int(max_bytes) * 16
+    server_bytes = None if max_bytes is None else int(max_bytes) * 16
     if name == "local":
         return LocalCacheBackend(max_entries, policy=policy, max_bytes=max_bytes)
-    if name == "shared":
-        return SharedMemoryCacheBackend(
-            max_entries,
-            max_shared_entries=max_entries * 16,
-            policy=policy,
-            max_bytes=max_bytes,
-            max_shared_bytes=shared_bytes,
-        )
     if name == "remote":
         shard_labels = parse_shard_urls(url) if url is not None else None
         if shard_labels is not None and len(shard_labels) > 1:
@@ -136,7 +128,7 @@ def make_backend(
                 server_max_entries=max_entries * 16,
                 policy=policy,
                 max_bytes=max_bytes,
-                server_max_bytes=shared_bytes,
+                server_max_bytes=server_bytes,
             )
         return RemoteCacheBackend(
             url=shard_labels[0] if shard_labels is not None else None,
@@ -144,14 +136,14 @@ def make_backend(
             server_max_entries=max_entries * 16,
             policy=policy,
             max_bytes=max_bytes,
-            server_max_bytes=shared_bytes,
+            server_max_bytes=server_bytes,
         )
     raise ValueError(f"unknown cache backend {name!r}; available: {CACHE_BACKENDS}")
 
 
 #: The process-wide active backend (lazily a LocalCacheBackend).  Forked
 #: workers inherit whatever was active in the parent at fork time, which is
-#: how a pre-fork SharedMemoryCacheBackend ends up serving the whole pool.
+#: how a pre-fork RemoteCacheBackend ends up serving the whole pool.
 _ACTIVE: Optional[CacheBackend] = None
 
 
@@ -181,7 +173,7 @@ def backend_scope(backend: CacheBackend) -> Iterator[CacheBackend]:
     """Run a block with ``backend`` active, restoring the previous one after.
 
     The backend is *not* closed on exit — the caller owns its lifecycle
-    (a shared backend's manager usually outlives several scopes).
+    (a remote backend's embedded server usually outlives several scopes).
     """
     previous = set_active_backend(backend)
     try:

@@ -7,11 +7,12 @@ written through a :class:`CacheBackend`.  Backends are interchangeable
 (selected by configuration, see :func:`repro.db.cache.make_backend`):
 
 * :class:`~repro.db.cache.local.LocalCacheBackend` — in-process storage,
-  the default; one bounded LRU or unbounded dict per (namespace, region).
-* :class:`~repro.db.cache.shared.SharedMemoryCacheBackend` — a two-tier
-  backend whose second tier lives in a ``multiprocessing.Manager`` server
-  process, so pool workers share selection masks, data cubes and memoized
-  exact answers with each other after fork.
+  the default; one bounded :class:`~repro.db.cache.local.UtilityCache` or
+  unbounded dict per (namespace, region).
+* :class:`~repro.db.cache.remote.RemoteCacheBackend` — a two-tier backend
+  whose second tier is a cache server process, so pool workers (and
+  separate runs) share selection masks, data cubes and memoized exact
+  answers with each other.
 
 Keys are namespaced: every entry is addressed by ``(namespace, region,
 key)``, where the namespace is the owning database's content fingerprint
@@ -71,7 +72,7 @@ BOUNDED_REGIONS: frozenset[str] = frozenset(
     {"predicate_mask", "selection_mask", "contribution", "sorted_contribution", "result"}
 )
 
-#: Regions the shared backend replicates into its cross-process tier: the
+#: Regions the remote backend writes through to its cross-process tier: the
 #: artefacts that are expensive to recompute and cheap(er) to ship than to
 #: rebuild.  Predicate masks and measure arrays are deliberately excluded —
 #: they are either subsumed by selection masks or recomputed in microseconds.
@@ -122,8 +123,9 @@ class CacheStats:
 
     ``hits`` / ``misses`` / ``puts`` / ``evictions`` count in-process tier
     traffic.  The ``shared_*`` counters count the cross-process tier of the
-    shared backend (zero on the local backend): ``shared_hits`` is the number
-    of entries this run obtained from *another* process's work.
+    remote backend (zero on the local backend): ``shared_hits`` is the
+    number of entries this run obtained from *another* process's work.  The
+    cache server counts its own evictions (its ``stats`` op).
     """
 
     hits: int = 0
@@ -133,7 +135,6 @@ class CacheStats:
     shared_hits: int = 0
     shared_misses: int = 0
     shared_puts: int = 0
-    shared_evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -163,7 +164,6 @@ class CacheStats:
             text += (
                 f" | shared: hits={self.shared_hits} misses={self.shared_misses} "
                 f"(rate {self.shared_hit_rate:.1%}) puts={self.shared_puts}"
-                f" evictions={self.shared_evictions}"
             )
         return text
 
@@ -231,8 +231,8 @@ class CacheBackend(Protocol):
 
         Unlike :meth:`clear`, which removes a namespace everywhere (the
         invalidation path), ``release`` only reclaims in-process memory: on
-        the shared backend the cross-process tier is left intact, because
-        another worker may still be serving the same logical database.
+        the remote backend the cache server is left intact, because another
+        worker may still be serving the same logical database.
         Called by the engine registry when a database is garbage-collected;
         over-releasing is always safe — the next miss recomputes.
         """

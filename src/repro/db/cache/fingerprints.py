@@ -5,7 +5,7 @@ predicate performs, the answer a query computes, the content of a database —
 independently of object identity, predicate order or process.  Every
 fingerprint is a flat structure of strings, numbers and tuples, so it is
 hashable, picklable and stable across processes: the same keys address the
-same entries whether a cache lives in-process or in a shared-memory tier.
+same entries whether a cache lives in-process or in a cache server.
 
 Predicate / selection / query fingerprints moved here from
 :mod:`repro.db.engine` (which re-exports them for compatibility) when the

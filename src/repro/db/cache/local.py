@@ -1,14 +1,14 @@
-"""The in-process cache backend (the default).
+"""The in-process cache backend (the default) and the one eviction policy.
 
 Storage layout: namespaces (one per database content fingerprint) hold one
 store per region — a bounded :class:`UtilityCache` for the regions in
 :data:`~repro.db.cache.backend.BOUNDED_REGIONS` (cost-normalized utility
-eviction by default, ``policy="lru"`` for the pre-cost behaviour), a plain
-dict for the small unbounded statistics regions.  This reproduces the cache
-structure the execution engine owned before the backend layer was extracted,
-with hit / miss / eviction counters added.  :class:`LruCache` is the original
-recency-only store, kept as the reference implementation the LRU policy is
-measured against.
+eviction by default, ``policy="lru"`` for plain recency), a plain dict for
+the small unbounded statistics regions.  This reproduces the cache structure
+the execution engine owned before the backend layer was extracted, with hit
+/ miss / eviction counters added.  :class:`UtilityCache` is also the store
+of the cache server (:class:`~repro.db.cache.server.CacheStore` extends it),
+so L1 and the server evict by one implementation.
 
 Namespaces themselves are also a bounded LRU (``max_namespaces``).  The
 pre-refactor engine freed its caches when its database was garbage-collected
@@ -21,7 +21,8 @@ namespace is always safe — the engine recomputes on the next miss.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Optional, Union
+import threading
+from typing import Any, Hashable, Iterable, Optional, Union
 
 from repro.db.cache.backend import (
     BOUNDED_REGIONS,
@@ -32,39 +33,7 @@ from repro.db.cache.backend import (
     value_nbytes,
 )
 
-__all__ = ["LocalCacheBackend", "LruCache", "UtilityCache"]
-
-
-class LruCache:
-    """A tiny insertion-ordered LRU built on dict ordering."""
-
-    def __init__(self, max_entries: int):
-        self.max_entries = int(max_entries)
-        self._data: dict[Hashable, Any] = {}
-
-    def get(self, key: Hashable) -> Any:
-        try:
-            value = self._data.pop(key)
-        except KeyError:
-            return None
-        self._data[key] = value  # move to the fresh end
-        return value
-
-    def put(self, key: Hashable, value: Any) -> int:
-        """Insert ``value``; return the number of entries evicted."""
-        self._data.pop(key, None)
-        self._data[key] = value
-        evicted = 0
-        while len(self._data) > self.max_entries:
-            self._data.pop(next(iter(self._data)))
-            evicted += 1
-        return evicted
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
+__all__ = ["LocalCacheBackend", "UtilityCache"]
 
 
 class UtilityCache:
@@ -77,7 +46,7 @@ class UtilityCache:
     wall-clock time entering the decision.  Entries stored without a cost
     compete with a neutral utility term of ``1.0`` (pure frequency-aged
     FIFO), which keeps cost-less callers' eviction order deterministic and
-    byte-size-independent.  Ties break on insertion sequence (oldest first),
+    byte-size-independent.  Ties break on access sequence (oldest first),
     so eviction order is a pure function of the operation history.
 
     ``policy="lru"`` keeps the same mechanism but sets the priority to a
@@ -87,7 +56,11 @@ class UtilityCache:
     Bounds: ``max_entries`` caps the entry count, ``max_bytes`` (optional)
     caps the summed value sizes.  A value larger than the whole byte budget
     is not admitted at all — caching it would evict everything else for a
-    single entry that cannot pay rent.
+    single entry that cannot pay rent — and a refused put leaves any value
+    already stored under the key in place.
+
+    Each entry's raw cost is kept alongside its priority: the cache server
+    returns it on hits and persists it (:meth:`metadata`, :meth:`restore`).
     """
 
     def __init__(
@@ -102,20 +75,16 @@ class UtilityCache:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.policy = policy
         self._data: dict[Hashable, Any] = {}
-        #: key -> [priority, seq, nbytes, freq, term]
+        #: key -> [priority, seq, nbytes, freq, term, cost]
         self._meta: dict[Hashable, list] = {}
         self._clock = 0.0  # the inflating GDSF clock L
-        self._seq = 0  # insertion/access sequence: tie-break + LRU counter
+        self._seq = 0  # access sequence: tie-break + LRU counter
         self._bytes = 0
 
     # ------------------------------------------------------------------
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _priority(self, freq: int, term: float) -> float:
+    def _priority(self, seq: int, freq: int, term: float) -> float:
         if self.policy == "lru":
-            return float(self._seq)  # most recent access wins, nothing else
+            return float(seq)  # most recent access wins, nothing else
         return self._clock + freq * term
 
     def get(self, key: Hashable) -> Any:
@@ -124,37 +93,62 @@ class UtilityCache:
         except KeyError:
             return None
         meta = self._meta[key]
+        self._seq += 1
+        meta[1] = self._seq
         meta[3] += 1  # frequency
-        meta[1] = self._next_seq()
-        meta[0] = self._priority(meta[3], meta[4])
+        meta[0] = self._priority(meta[1], meta[3], meta[4])
         return value
 
-    def put(self, key: Hashable, value: Any, cost: Optional[float] = None) -> int:
-        """Insert ``value``; return the number of entries evicted."""
-        self._discard(key)
+    def cost(self, key: Hashable) -> Optional[float]:
+        """The recompute cost the entry was stored with (``None`` when it was
+        stored without one, or is not stored)."""
+        meta = self._meta.get(key)
+        return None if meta is None else meta[5]
+
+    def put(self, key: Hashable, value: Any, cost: Optional[float] = None) -> Optional[list]:
+        """Insert ``value``; return the evicted keys, or ``None`` when the
+        value is larger than the whole byte budget and was not admitted."""
         nbytes = value_nbytes(value)
         if self.max_bytes is not None and nbytes > self.max_bytes:
-            return 0  # cannot pay rent: not admitted
-        term = 1.0 if cost is None else max(float(cost), 0.0) / max(nbytes, 1)
+            return None
+        self._discard(key)
         self._seq += 1
-        seq = self._seq
+        self._insert(key, value, cost, nbytes, 1, self._seq, None)
+        return self._evict_over_budget()
+
+    def _insert(
+        self,
+        key: Hashable,
+        value: Any,
+        cost: Optional[float],
+        nbytes: int,
+        freq: int,
+        seq: int,
+        priority: Optional[float],
+    ) -> None:
+        term = 1.0 if cost is None else max(float(cost), 0.0) / max(nbytes, 1)
+        if priority is None:
+            priority = self._priority(seq, freq, term)
         self._data[key] = value
-        self._meta[key] = [self._priority(1, term), seq, nbytes, 1, term]
+        self._meta[key] = [priority, seq, nbytes, freq, term, cost]
         self._bytes += nbytes
-        evicted = 0
+
+    def _evict_over_budget(self) -> list:
+        """Evict lowest-priority entries until both bounds hold, raising the
+        decay clock to each victim's priority; return the evicted keys."""
+        evicted = []
         while len(self._data) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes and len(self._data) > 1
         ):
-            victim, (priority, _, _, _, _) = min(
-                self._meta.items(), key=lambda item: (item[1][0], item[1][1])
-            )
+            victim, meta = min(self._meta.items(), key=lambda item: (item[1][0], item[1][1]))
             self._discard(victim)
             if self.policy != "lru":
-                self._clock = max(self._clock, priority)
-            evicted += 1
+                self._clock = max(self._clock, meta[0])
+            evicted.append(victim)
         return evicted
 
     def _discard(self, key: Hashable) -> None:
+        """Drop ``key`` if stored (not an eviction: the clock is untouched)."""
         if self._data.pop(key, None) is not None:
             self._bytes -= self._meta.pop(key)[2]
 
@@ -163,6 +157,27 @@ class UtilityCache:
         self._meta.clear()
         self._bytes = 0
         self._clock = 0.0
+
+    # ------------------------------------------------------------------
+    # persistence support (the cache server's sqlite write-through)
+    # ------------------------------------------------------------------
+    def metadata(self, key: Hashable) -> Optional[tuple]:
+        """``(cost, nbytes, freq, seq, priority)`` of a stored entry: the
+        access metadata a persistent store saves next to the value so that
+        :meth:`restore` can reinstate the entry's eviction standing."""
+        meta = self._meta.get(key)
+        return None if meta is None else (meta[5], meta[2], meta[3], meta[1], meta[0])
+
+    def restore(self, entries: Iterable[tuple], clock: float) -> list:
+        """Reinstate persisted ``(key, value, cost, freq, seq, priority)``
+        entries and the decay clock, then evict down to this cache's bounds
+        (the entries may have been saved under larger ones); return the
+        evicted keys."""
+        self._clock = float(clock)
+        for key, value, cost, freq, seq, priority in entries:
+            self._insert(key, value, cost, value_nbytes(value), freq, seq, priority)
+            self._seq = max(self._seq, seq)
+        return self._evict_over_budget()
 
     @property
     def nbytes(self) -> int:
@@ -173,7 +188,13 @@ class UtilityCache:
 
 
 class LocalCacheBackend:
-    """In-process cache storage with namespaced regions and counters."""
+    """In-process cache storage with namespaced regions and counters.
+
+    One lock guards every public method: a query server's engine threads
+    share one backend, and eviction iterates stores another thread may be
+    mutating.  It is re-entrant because ``clear`` and
+    ``telemetry_snapshot`` call other public methods.
+    """
 
     name = "local"
 
@@ -199,6 +220,7 @@ class LocalCacheBackend:
         #: namespace -> region -> store, insertion-ordered by recency of use.
         self._namespaces: dict[str, dict[str, Union[UtilityCache, dict]]] = {}
         self._stats = CacheStats()
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     def _regions(self, namespace: str) -> dict[str, Union[UtilityCache, dict]]:
@@ -226,19 +248,20 @@ class LocalCacheBackend:
     # ------------------------------------------------------------------
     def get(self, namespace: str, region: str, key: Hashable) -> Any:
         # Lookups never create (or evict) namespaces; only ``put`` does.
-        value = None
-        regions = self._namespaces.get(namespace)
-        if regions is not None:
-            self._namespaces.pop(namespace)  # freshen in the namespace LRU
-            self._namespaces[namespace] = regions
-            store = regions.get(region)
-            if store is not None:
-                value = store.get(key)
-        if value is None:
-            self._stats.misses += 1
-        else:
-            self._stats.hits += 1
-        return value
+        with self._lock:
+            value = None
+            regions = self._namespaces.get(namespace)
+            if regions is not None:
+                self._namespaces.pop(namespace)  # freshen in the namespace LRU
+                self._namespaces[namespace] = regions
+                store = regions.get(region)
+                if store is not None:
+                    value = store.get(key)
+            if value is None:
+                self._stats.misses += 1
+            else:
+                self._stats.hits += 1
+            return value
 
     def put(
         self,
@@ -248,8 +271,9 @@ class LocalCacheBackend:
         value: Any,
         cost: Optional[float] = None,
     ) -> None:
-        self._put(namespace, region, key, value, cost)
-        self._stats.puts += 1
+        with self._lock:
+            self._put(namespace, region, key, value, cost)
+            self._stats.puts += 1
 
     def _put(
         self,
@@ -260,11 +284,14 @@ class LocalCacheBackend:
         cost: Optional[float] = None,
     ) -> None:
         """Insert without counting a put (used for cross-tier promotions)."""
-        store = self._store(namespace, region)
-        if isinstance(store, UtilityCache):
-            self._stats.evictions += store.put(key, value, cost)
-        else:
-            store[key] = value
+        with self._lock:
+            store = self._store(namespace, region)
+            if isinstance(store, UtilityCache):
+                evicted = store.put(key, value, cost)
+                if evicted:
+                    self._stats.evictions += len(evicted)
+            else:
+                store[key] = value
 
     def clear(self, namespace: Optional[str] = None) -> None:
         """Drop one namespace, or — with no argument — everything.
@@ -274,11 +301,12 @@ class LocalCacheBackend:
         cross-backend contract pinned by the conformance suite (the backends
         used to disagree on it).
         """
-        if namespace is None:
-            self._namespaces.clear()
-            self.reset_stats()
-        else:
-            self._namespaces.pop(namespace, None)
+        with self._lock:
+            if namespace is None:
+                self._namespaces.clear()
+                self.reset_stats()
+            else:
+                self._namespaces.pop(namespace, None)
 
     def release(self, namespace: str) -> None:
         """Everything here is in-process storage, so releasing == clearing."""
@@ -286,45 +314,50 @@ class LocalCacheBackend:
 
     # ------------------------------------------------------------------
     def stats(self) -> CacheStats:
-        return CacheStats(**self._stats.as_dict())
+        with self._lock:
+            return CacheStats(**self._stats.as_dict())
 
     def reset_stats(self) -> None:
-        self._stats = CacheStats()
+        with self._lock:
+            self._stats = CacheStats()
 
     def entry_count(self, namespace: Optional[str] = None) -> int:
-        return sum(
-            len(store)
-            for ns, regions in self._namespaces.items()
-            if namespace is None or ns == namespace
-            for store in regions.values()
-        )
+        with self._lock:
+            return sum(
+                len(store)
+                for ns, regions in self._namespaces.items()
+                if namespace is None or ns == namespace
+                for store in regions.values()
+            )
 
     def byte_count(self, namespace: Optional[str] = None) -> int:
         """Summed size estimate of the bounded stores' values."""
-        return sum(
-            store.nbytes
-            for ns, regions in self._namespaces.items()
-            if namespace is None or ns == namespace
-            for store in regions.values()
-            if isinstance(store, UtilityCache)
-        )
+        with self._lock:
+            return sum(
+                store.nbytes
+                for ns, regions in self._namespaces.items()
+                if namespace is None or ns == namespace
+                for store in regions.values()
+                if isinstance(store, UtilityCache)
+            )
 
     def telemetry_snapshot(self) -> dict:
         """This backend's counters in the unified telemetry schema
         (``stats()`` remains the legacy-shaped compatibility surface)."""
-        return telemetry_from_stats(
-            self.stats(),
-            self.name,
-            gauges={
-                "entries": self.entry_count(),
-                "bytes": self.byte_count(),
-            },
-            subsystem_extra={
-                "policy": self.policy,
-                "max_entries": self.max_entries,
-                "degraded": False,
-            },
-        )
+        with self._lock:
+            return telemetry_from_stats(
+                self.stats(),
+                self.name,
+                gauges={
+                    "entries": self.entry_count(),
+                    "bytes": self.byte_count(),
+                },
+                subsystem_extra={
+                    "policy": self.policy,
+                    "max_entries": self.max_entries,
+                    "degraded": False,
+                },
+            )
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

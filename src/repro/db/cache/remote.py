@@ -1,20 +1,19 @@
-"""The out-of-process cache backend (client side).
+"""The out-of-process cache backend (client side) — the one cross-process path.
 
-A two-tier design, deliberately parallel to
-:class:`~repro.db.cache.shared.SharedMemoryCacheBackend`:
+A two-tier design:
 
 * **L1** — a private :class:`~repro.db.cache.local.LocalCacheBackend` per
   process, so hot entries cost a dict lookup.
 * **L2** — a :class:`~repro.db.cache.server.CacheServer` reached over TCP.
   Entries in :data:`~repro.db.cache.backend.SHARED_REGIONS` (selection
   masks, contributions, data cubes, exact answers) are written through and,
-  on an L1 miss, fetched back.  Unlike the shared backend's
-  ``multiprocessing.Manager`` tier, the server is *not* tied to a fork
-  family: a batch evaluation run and a separately launched serving process
-  address the same entries through content-fingerprint namespaces, and a
-  ``--path``-persisted server survives both.
+  on an L1 miss, fetched back.  The server is *not* tied to a fork family:
+  a run's forked pool workers share it (``path=`` embeds one for the run),
+  and so do a batch evaluation run and a separately launched serving
+  process, which address the same entries through content-fingerprint
+  namespaces; a ``--path``-persisted server survives them all.
 
-Lifecycle mirrors the shared backend:
+Lifecycle:
 
 * Create **before** the worker pool forks (``evaluation_session`` does) so
   every worker inherits the configuration and the fork-shared counters.
@@ -52,6 +51,8 @@ from typing import Any, Hashable, Optional
 
 import hashlib
 
+import numpy as np
+
 from repro.db.cache.backend import (
     DEFAULT_EVICTION_POLICY,
     SHARED_REGIONS,
@@ -60,7 +61,6 @@ from repro.db.cache.backend import (
 )
 from repro.db.cache.breaker import CircuitBreaker
 from repro.db.cache.local import LocalCacheBackend
-from repro.db.cache.shared import _freeze_value
 from repro.db.cache.wire import (
     MAX_FRAME_PAYLOAD,
     decode_payload,
@@ -78,10 +78,21 @@ __all__ = ["RemoteCacheBackend", "parse_cache_url"]
 #: Exceptions that mean "the cache server is gone or the wire/payload is
 #: garbage"; the backend degrades to its local tier when it sees one.
 #: ``struct.error`` (a short/corrupt payload buffer) and ``pickle.PickleError``
-#: (an unpicklable value, or a corrupt pickled blob) are included for the
-#: same reason the shared backend lists ``pickle.PicklingError``: a bad
-#: entry must cost a recomputation, never the run.
+#: (an unpicklable value, or a corrupt pickled blob) are included because a
+#: bad entry must cost a recomputation, never the run.
 _REMOTE_ERRORS = (OSError, EOFError, ValueError, struct.error, pickle.PickleError)
+
+
+def _freeze_value(value: Any) -> Any:
+    """Mark arrays fetched from the server read-only (they arrive as fresh
+    writable copies from the payload decode)."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for member in value:
+            if isinstance(member, np.ndarray):
+                member.flags.writeable = False
+    return value
 
 
 def parse_cache_url(url: str) -> tuple[str, int]:
@@ -218,9 +229,9 @@ class RemoteCacheBackend:
         self._pool: list[_Connection] = []
         self._pool_pid = os.getpid()
         self._pool_lock = threading.Lock()
-        # Fork-inherited counters, exactly like the shared backend: workers
-        # increment, the parent's stats() sees the whole run.  Remote-tier
-        # traffic is reported through the shared_* slots of CacheStats.
+        # Fork-inherited counters: workers increment, the parent's stats()
+        # sees the whole run.  Remote-tier traffic is reported through the
+        # shared_* slots of CacheStats.
         self._shared_hits = multiprocessing.Value("Q", 0)
         self._shared_misses = multiprocessing.Value("Q", 0)
         self._shared_puts = multiprocessing.Value("Q", 0)
@@ -238,6 +249,7 @@ class RemoteCacheBackend:
         # snapshots stay valid — they only describe server state).
         self._digests: dict[bytes, bytes] = {}
         self._max_digests = 4096
+        self._digest_lock = threading.Lock()
         try:
             self._request({"op": "ping"})
         except _REMOTE_ERRORS as error:
@@ -366,10 +378,14 @@ class RemoteCacheBackend:
         return not self._closed and self.breaker.allow()
 
     def _remember_digest(self, encoded_key: bytes, payload: bytes) -> None:
-        self._digests.pop(encoded_key, None)
-        self._digests[encoded_key] = hashlib.sha256(payload).digest()
-        while len(self._digests) > self._max_digests:
-            self._digests.pop(next(iter(self._digests)))
+        digest = hashlib.sha256(payload).digest()
+        # Locked: a query server's engine threads share this backend, and
+        # two threads trimming at once would pop the same oldest key.
+        with self._digest_lock:
+            self._digests.pop(encoded_key, None)
+            self._digests[encoded_key] = digest
+            while len(self._digests) > self._max_digests:
+                self._digests.pop(next(iter(self._digests)))
 
     def get(self, namespace: str, region: str, key: Hashable) -> Any:
         value = self._local.get(namespace, region, key)
@@ -418,7 +434,7 @@ class RemoteCacheBackend:
         value = _freeze_value(value)
         cost = response.get("cost")
         # Promote to L1 quietly: a promotion is not a new artefact, so it
-        # must not inflate the put counter (same rule as the shared backend).
+        # must not inflate the put counter.
         self._local._put(namespace, region, key, value, cost)
         return value
 
@@ -595,29 +611,6 @@ class RemoteCacheBackend:
         stats["put_short_circuits"] = int(self._put_short_circuits.value)
         stats["put_bytes_saved"] = int(self._put_bytes_saved.value)
         return stats
-
-    def miss_log(self, namespace: Optional[str] = None, clear: bool = False) -> Optional[dict]:
-        """The server's observed-miss log (the ``warm`` op), or ``None`` when
-        the server is unreachable.  ``clear=True`` drains it after reading —
-        what a warm-ahead poller does so misses are handed out once."""
-        if not self._remote_allowed():
-            return None
-        header = {"op": "warm"}
-        if namespace is not None:
-            header["namespace"] = namespace
-        if clear:
-            header["clear"] = True
-        try:
-            response, _ = self._request(header)
-        except _REMOTE_ERRORS:
-            return None
-        except RuntimeError:
-            return None
-        return {
-            "recorded": response.get("recorded", 0),
-            "counts": response.get("counts", {}),
-            "recent": response.get("recent", []),
-        }
 
     def server_stats(self) -> Optional[dict]:
         """The server's own counters (hits across *all* clients), or ``None``

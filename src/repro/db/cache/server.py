@@ -1,8 +1,10 @@
 """The out-of-process persistent cache server.
 
-One :class:`CacheServer` holds a bounded LRU of encoded cache entries —
-addressed by the canonical key bytes of :func:`repro.db.cache.wire.encode_key`
-— and serves them to any number of :class:`~repro.db.cache.remote.RemoteCacheBackend`
+One :class:`CacheServer` holds a bounded :class:`CacheStore` of encoded
+cache entries — addressed by the canonical key bytes of
+:func:`repro.db.cache.wire.encode_key` and evicted by the same
+:class:`~repro.db.cache.local.UtilityCache` policy as every L1 — and serves
+them to any number of :class:`~repro.db.cache.remote.RemoteCacheBackend`
 clients over the length-prefixed binary frame protocol of
 :mod:`repro.db.cache.wire`.  Because keys are content-fingerprint namespaced
 (:mod:`repro.db.cache.fingerprints`), processes that never forked from each
@@ -21,8 +23,9 @@ block readers should revisit this with an executor or write batching.
 
 Persistence is optional (``--path``): entries are written through to a
 sqlite file as they arrive and loaded back at startup, so a restarted server
-begins warm.  A corrupted or truncated file is moved aside with a warning
-and the server starts empty — persistence is an optimisation, never a
+begins warm.  A corrupted or truncated file — or one a protocol-v1 server
+wrote, without access metadata — is moved aside with a warning and the
+server starts empty — persistence is an optimisation, never a
 correctness dependency (exactly like every other cache tier in this
 repository).
 
@@ -30,8 +33,9 @@ Run it standalone::
 
     python -m repro.db.cache.server --path cache.db --port 8643
 
-or embedded on a background thread (tests, benchmarks, the ``--cache-path``
-convenience of the evaluation CLI) via :class:`CacheServerThread`.
+or embedded on a background thread via :class:`CacheServerThread` (tests,
+benchmarks, and ``--cache-backend remote --cache-path FILE``, the form a
+run's forked workers share).
 """
 
 from __future__ import annotations
@@ -48,41 +52,37 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro.db.cache.backend import DEFAULT_EVICTION_POLICY, EVICTION_POLICIES
-from repro.db.cache.wire import (
-    key_from_header,
-    key_to_header,
-    read_frame_async,
-    write_frame_async,
-)
+from repro.db.cache.local import UtilityCache
+from repro.db.cache.wire import key_from_header, read_frame_async, write_frame_async
 from repro.obs.metrics import render_prometheus, unified_snapshot
 from repro.obs.trace import record_span
 
-__all__ = ["CacheServer", "CacheServerThread", "CacheStore", "MissLog", "main"]
+__all__ = ["CacheServer", "CacheServerThread", "CacheStore", "main"]
 
 #: Bumped when the persistence schema or the op set changes incompatibly.
-#: v2 added cost/size metadata on ``put``, the ``warm`` miss-log op and the
-#: byte-budget counters; every v1 op is answered unchanged, so old clients
-#: keep working against a v2 server.  Within v2, later additions stay
-#: backward compatible: the ``telemetry`` op and the optional ``trace``
-#: header field on get/put (ignored by servers that predate it).
-SERVER_PROTOCOL = 2
+#: v2 added cost/size metadata on ``put`` and the byte-budget counters (a put
+#: without a cost is still valid); v3 dropped the ``warm`` miss-log op.  The
+#: ``telemetry`` op and the optional ``trace`` header field on get/put are
+#: backward-compatible additions (servers that predate them ignore them).
+SERVER_PROTOCOL = 3
 
 
 # ----------------------------------------------------------------------
-# the store: bounded LRU, optionally written through to sqlite
+# the store: the L1 eviction policy, optionally written through to sqlite
 # ----------------------------------------------------------------------
-class CacheStore:
+class CacheStore(UtilityCache):
     """Byte entries addressed by ``(namespace, region, key bytes)``.
 
-    Entries live in a dict plus a metadata side-table carrying each entry's
-    recompute cost, byte size, access frequency and eviction priority; with a
-    ``path`` they are also written through to a sqlite table and loaded back
-    on construction (in persisted access order, so a restarted server evicts
-    in exactly the order the old one would have).  Eviction — lowest
-    cost-normalized utility first under ``policy="cost"``, least recently
-    used under ``policy="lru"``, past ``max_entries`` *or* ``max_bytes`` —
-    deletes from both tiers, so the disk file never outgrows the memory
-    bound.
+    The entries live in a :class:`~repro.db.cache.local.UtilityCache` keyed
+    by address — the eviction implementation every bounded L1 region uses,
+    so ``policy="cost"`` evicts the lowest cost-normalized utility first and
+    ``policy="lru"`` the least recently used, past ``max_entries`` *or*
+    ``max_bytes``.  This class adds the server's counters and, with a
+    ``path``, sqlite write-through: every put and eviction is written to a
+    table that is loaded back on construction with each entry's access
+    metadata, so a restarted server evicts in exactly the order the old one
+    would have.  Eviction deletes from both tiers, so the disk file never
+    outgrows the memory bound.
     """
 
     def __init__(
@@ -94,18 +94,8 @@ class CacheStore:
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction policy {policy!r} (use one of {EVICTION_POLICIES})")
-        self.max_entries = int(max_entries)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self.policy = policy
+        super().__init__(max_entries, max_bytes, policy)
         self.path = Path(path) if path is not None else None
-        self._data: dict[Tuple[str, str, bytes], bytes] = {}
-        #: address -> [priority, seq, nbytes, freq, cost | None]
-        self._meta: dict[Tuple[str, str, bytes], list] = {}
-        self._clock = 0.0
-        self._seq = 0
-        self._bytes = 0
         self._conn: Optional[sqlite3.Connection] = None
         self.hits = 0
         self.misses = 0
@@ -122,11 +112,12 @@ class CacheStore:
     def _open_persistence(self) -> None:
         """Open (or recover) the sqlite file and load its entries.
 
-        Any :class:`sqlite3.Error` while opening or loading means the file
-        is corrupt or truncated: it is moved aside (``<path>.corrupt``) with
-        a warning and a fresh empty file replaces it — the server must start,
-        cold, rather than crash on a bad disk state.  If even a fresh file
-        cannot be opened (unwritable directory), the store continues
+        Any :class:`sqlite3.Error` while opening or loading — or a row
+        without access metadata — means the file is corrupt, truncated or
+        from an incompatible server: it is moved aside (``<path>.corrupt``)
+        with a warning and a fresh empty file replaces it — the server must
+        start, cold, rather than crash on a bad disk state.  If even a fresh
+        file cannot be opened (unwritable directory), the store continues
         memory-only with a second warning; persistence is never worth a
         startup crash.
         """
@@ -137,23 +128,25 @@ class CacheStore:
         stored_clock = 0.0
         try:
             self._conn = self._connect()
-            # Oldest-accessed first, so the in-memory insertion order (and
-            # the restored seq/priority metadata) reproduces the eviction
-            # order the previous server would have used — a warm restart must
-            # not turn the first eviction pass into a random purge.  Rows a
-            # pre-metadata server wrote (NULL last_access) sort first, in
-            # their original insertion (rowid) order.
-            rows = self._conn.execute(
-                "SELECT namespace, region, key, value, cost, nbytes, freq,"
-                " last_access, priority FROM cache_entries"
-                " ORDER BY last_access IS NOT NULL, last_access, rowid"
-            ).fetchall()
+            # Each row carries its access sequence and priority, so the
+            # restored store evicts in the order the previous server would
+            # have — a warm restart must not turn the first eviction pass
+            # into a random purge.
+            entries = [
+                ((namespace, region, bytes(key)), bytes(value), cost,
+                 int(freq), int(last_access), float(priority))
+                for namespace, region, key, value, cost, freq, last_access, priority
+                in self._conn.execute(
+                    "SELECT namespace, region, key, value, cost, freq, last_access,"
+                    " priority FROM cache_entries"
+                )
+            ]
             meta_row = self._conn.execute(
                 "SELECT value FROM store_meta WHERE key = 'clock'"
             ).fetchone()
             if meta_row is not None:
                 stored_clock = float(meta_row[0])
-        except sqlite3.Error as error:
+        except (sqlite3.Error, TypeError, ValueError) as error:
             if self._conn is not None:
                 try:
                     self._conn.close()
@@ -192,23 +185,11 @@ class CacheStore:
                 )
                 self._conn = None
                 self.path = None
-            rows = []
-        self._clock = stored_clock
-        for namespace, region, key, value, cost, nbytes, freq, last_access, priority in rows:
-            address = (namespace, region, bytes(key))
-            value = bytes(value)
-            nbytes = len(value) if nbytes is None else int(nbytes)
-            freq = 1 if freq is None else int(freq)
-            seq = self._seq + 1 if last_access is None else int(last_access)
-            self._seq = max(self._seq, seq)
-            if priority is None:
-                priority = self._priority(seq, freq, cost, nbytes)
-            self._data[address] = value
-            self._meta[address] = [float(priority), seq, nbytes, freq, cost]
-            self._bytes += nbytes
-        self.loaded_from_disk = len(self._data)
+            entries = []
         # A file written under a larger bound still honours this server's.
-        self._evict_over_budget()
+        evicted = self.restore(entries, stored_clock)
+        self.loaded_from_disk = len(entries)
+        self._evicted(evicted)
 
     def _connect(self) -> sqlite3.Connection:
         # The store may be built on one thread (CacheServerThread.__init__)
@@ -230,19 +211,6 @@ class CacheStore:
             " priority REAL,"
             " PRIMARY KEY (namespace, region, key))"
         )
-        # Migrate protocol-v1 files in place: the old four-column table gains
-        # the metadata columns (NULL for existing rows — the loader fills in
-        # defaults), so a warm file from an old server is never quarantined.
-        present = {row[1] for row in conn.execute("PRAGMA table_info(cache_entries)")}
-        for column, column_type in (
-            ("cost", "REAL"),
-            ("nbytes", "INTEGER"),
-            ("freq", "INTEGER"),
-            ("last_access", "INTEGER"),
-            ("priority", "REAL"),
-        ):
-            if column not in present:
-                conn.execute(f"ALTER TABLE cache_entries ADD COLUMN {column} {column_type}")
         conn.execute("CREATE TABLE IF NOT EXISTS store_meta (key TEXT PRIMARY KEY, value TEXT)")
         return conn
 
@@ -259,10 +227,7 @@ class CacheStore:
                 "UPDATE cache_entries SET cost = ?, nbytes = ?, freq = ?,"
                 " last_access = ?, priority = ?"
                 " WHERE namespace = ? AND region = ? AND key = ?",
-                [
-                    (meta[4], meta[2], meta[3], meta[1], meta[0], *address)
-                    for address, meta in self._meta.items()
-                ],
+                [(*self.metadata(address), *address) for address in self._data],
             )
             self._conn.execute(
                 "INSERT OR REPLACE INTO store_meta (key, value) VALUES ('clock', ?)",
@@ -283,37 +248,16 @@ class CacheStore:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def _priority(self, seq: int, freq: int, cost: Optional[float], nbytes: int) -> float:
-        """The eviction priority of an entry (lowest evicts first).
-
-        ``policy="cost"`` is GreedyDual-Size-Frequency: ``clock + freq ×
-        cost / bytes``, with a neutral term of 1.0 for cost-less entries;
-        ``policy="lru"`` is the access sequence number — exact LRU.
-        """
-        if self.policy == "lru":
-            return float(seq)
-        term = 1.0 if cost is None else max(float(cost), 0.0) / max(int(nbytes), 1)
-        return self._clock + freq * term
-
     def get(self, namespace: str, region: str, key: bytes) -> Optional[bytes]:
-        address = (namespace, region, key)
-        value = self._data.pop(address, None)
+        value = super().get((namespace, region, key))
         if value is None:
             self.misses += 1
-            return None
-        self._data[address] = value  # freshen in insertion order
-        meta = self._meta.get(address)
-        if meta is not None:
-            meta[3] += 1
-            self._seq += 1
-            meta[1] = self._seq
-            meta[0] = self._priority(meta[1], meta[3], meta[4], meta[2])
-        self.hits += 1
+        else:
+            self.hits += 1
         return value
 
     def entry_cost(self, namespace: str, region: str, key: bytes) -> Optional[float]:
-        meta = self._meta.get((namespace, region, key))
-        return None if meta is None else meta[4]
+        return self.cost((namespace, region, key))
 
     def put(
         self,
@@ -326,59 +270,29 @@ class CacheStore:
         """Store ``value``; returns ``False`` when the byte budget refuses it
         (a payload larger than the whole budget is never admitted)."""
         address = (namespace, region, key)
-        nbytes = len(value)
-        if self.max_bytes is not None and nbytes > self.max_bytes:
+        evicted = super().put(address, value, cost)
+        if evicted is None:
             self.rejected_puts += 1
             return False
-        self._discard(address)
-        self._seq += 1
-        self._data[address] = value
-        self._meta[address] = [self._priority(self._seq, 1, cost, nbytes), self._seq, nbytes, 1, cost]
-        self._bytes += nbytes
         self.puts += 1
-        if self._conn is not None:
-            meta = self._meta[address]
+        metadata = self.metadata(address)  # None: the entry was its own victim
+        if self._conn is not None and metadata is not None:
             self._conn.execute(
                 "INSERT OR REPLACE INTO cache_entries"
                 " (namespace, region, key, value, cost, nbytes, freq, last_access, priority)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (namespace, region, key, value, cost, nbytes, 1, meta[1], meta[0]),
+                (namespace, region, key, value, *metadata),
             )
-        self._evict_over_budget()
+        self._evicted(evicted)
         return True
 
-    def _discard(self, address: Tuple[str, str, bytes]) -> None:
-        if self._data.pop(address, None) is not None:
-            meta = self._meta.pop(address, None)
-            if meta is not None:
-                self._bytes -= meta[2]
-
-    def _over_budget(self) -> bool:
-        if len(self._data) > self.max_entries:
-            return True
-        return self.max_bytes is not None and self._bytes > self.max_bytes and len(self._data) > 1
-
-    def _evict_over_budget(self) -> None:
-        while self._over_budget():
-            self._evict_one()
-
-    def _evict_one(self) -> None:
-        """Evict the lowest-priority entry (deterministic tie-break on the
-        access sequence), raising the decay clock to its priority."""
-        live = {a: m for a, m in self._meta.items() if a in self._data}
-        if live:
-            address, meta = min(live.items(), key=lambda item: (item[1][0], item[1][1]))
-            if self.policy != "lru":
-                self._clock = max(self._clock, meta[0])
-        else:  # metadata desynced (only possible via direct _data surgery)
-            address = next(iter(self._data))
-        self._discard(address)
-        self._meta.pop(address, None)
-        self.evictions += 1
-        if self._conn is not None:
-            self._conn.execute(
+    def _evicted(self, addresses: list) -> None:
+        """Count evictions and delete the evicted rows from disk too."""
+        self.evictions += len(addresses)
+        if self._conn is not None and addresses:
+            self._conn.executemany(
                 "DELETE FROM cache_entries WHERE namespace = ? AND region = ? AND key = ?",
-                address,
+                addresses,
             )
 
     def clear(self, namespace: Optional[str] = None) -> int:
@@ -386,10 +300,7 @@ class CacheStore:
         counters — the cross-backend contract for ``clear()``."""
         if namespace is None:
             removed = len(self._data)
-            self._data.clear()
-            self._meta.clear()
-            self._bytes = 0
-            self._clock = 0.0
+            super().clear()
             if self._conn is not None:
                 self._conn.execute("DELETE FROM cache_entries")
             self.reset_stats()
@@ -414,7 +325,7 @@ class CacheStore:
             "evictions": self.evictions,
             "rejected_puts": self.rejected_puts,
             "entries": len(self._data),
-            "bytes_stored": self._bytes,
+            "bytes_stored": self.nbytes,
             "max_bytes": self.max_bytes,
             "policy": self.policy,
             "loaded_from_disk": self.loaded_from_disk,
@@ -423,42 +334,6 @@ class CacheStore:
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.puts = self.evictions = self.rejected_puts = 0
-
-
-class MissLog:
-    """Observed-but-missed addresses, per namespace, for warm-ahead feeds.
-
-    The server cannot replay a miss itself (it never decodes keys, let alone
-    runs the engine), but it is the one place that sees *every* client's
-    misses — so it keeps a bounded log that warm-ahead workers poll through
-    the ``warm`` op and replay against the engine on the client side.
-    """
-
-    def __init__(self, max_recent: int = 256):
-        self.max_recent = int(max_recent)
-        self.counts: dict[str, int] = {}
-        self._recent: dict[Tuple[str, str, bytes], None] = {}  # ordered de-duped set
-        self.recorded = 0
-
-    def record(self, namespace: str, region: str, key: bytes) -> None:
-        self.counts[namespace] = self.counts.get(namespace, 0) + 1
-        self.recorded += 1
-        address = (namespace, region, key)
-        self._recent.pop(address, None)
-        self._recent[address] = None  # re-append: most recent last
-        while len(self._recent) > self.max_recent:
-            self._recent.pop(next(iter(self._recent)))
-
-    def snapshot(self, namespace: Optional[str] = None) -> list:
-        return [
-            [ns, region, key_to_header(key)]
-            for ns, region, key in self._recent
-            if namespace is None or ns == namespace
-        ]
-
-    def clear(self) -> None:
-        self.counts.clear()
-        self._recent.clear()
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +355,6 @@ class CacheServer:
         if store is None:
             store = CacheStore(path=path, max_entries=max_entries, max_bytes=max_bytes, policy=policy)
         self.store = store
-        self.miss_log = MissLog()
         self.host = host
         self.port = port  # 0 = ephemeral; replaced with the bound port on start
         self.bytes_received = 0
@@ -625,7 +499,6 @@ class CacheServer:
             namespace, region, key = self._address(header)
             value = self.store.get(namespace, region, key)
             if value is None:
-                self.miss_log.record(namespace, region, key)
                 record_span(
                     "cache_server.get", header.get("trace"),
                     time.perf_counter() - began, region=region, hit=False,
@@ -654,18 +527,6 @@ class CacheServer:
                 region=region, stored=stored, nbytes=len(payload),
             )
             return {"ok": True, "stored": stored}, b"", False
-        if op == "warm":
-            namespace = header.get("namespace")
-            scope = None if namespace is None else str(namespace)
-            response = {
-                "ok": True,
-                "recorded": self.miss_log.recorded,
-                "counts": dict(self.miss_log.counts),
-                "recent": self.miss_log.snapshot(scope),
-            }
-            if header.get("clear"):
-                self.miss_log.clear()
-            return response, b"", False
         if op == "clear":
             namespace = header.get("namespace")
             removed = self.store.clear(None if namespace is None else str(namespace))
@@ -681,7 +542,6 @@ class CacheServer:
                     "requests_served": self.requests_served,
                     "bytes_received": self.bytes_received,
                     "bytes_sent": self.bytes_sent,
-                    "miss_log_recorded": self.miss_log.recorded,
                 }
             )
             return {"ok": True, "stats": stats}, b"", False
@@ -720,7 +580,6 @@ class CacheServer:
                 "requests_served": self.requests_served,
                 "bytes_received": self.bytes_received,
                 "bytes_sent": self.bytes_sent,
-                "miss_log_recorded": self.miss_log.recorded,
             },
             gauges={
                 "entries": store["entries"],
@@ -754,9 +613,10 @@ class CacheServer:
 class CacheServerThread:
     """Host a :class:`CacheServer` on a background event-loop thread.
 
-    The embedded form used by tests, the ``cache_server`` benchmark and the
-    evaluation CLI's ``--cache-path`` convenience (a run that wants a
-    persistent cache without operating a separate server process)::
+    The embedded form used by tests, the ``cache_server`` benchmark and
+    ``--cache-backend remote --cache-path FILE`` (a run whose forked workers
+    share one persistent cache without operating a separate server
+    process)::
 
         with CacheServerThread(path="cache.db") as handle:
             backend = RemoteCacheBackend(port=handle.server.port)

@@ -300,22 +300,6 @@ class ShardedCacheBackend:
             "shards": per_shard,
         }
 
-    def miss_log(self, namespace: Optional[str] = None, clear: bool = False) -> Optional[dict]:
-        """The union of every reachable shard's miss log (``None`` only when
-        no shard answered)."""
-        merged: Optional[dict] = None
-        for shard in self.shards:
-            log = shard.miss_log(namespace, clear=clear)
-            if log is None:
-                continue
-            if merged is None:
-                merged = {"recorded": 0, "counts": {}, "recent": []}
-            merged["recorded"] += int(log.get("recorded", 0))
-            for space, count in (log.get("counts") or {}).items():
-                merged["counts"][space] = merged["counts"].get(space, 0) + count
-            merged["recent"].extend(log.get("recent") or [])
-        return merged
-
     def server_stats(self) -> Optional[dict]:
         """Per-shard server counters keyed by shard label (unreachable
         shards map to ``None``)."""

@@ -6,8 +6,8 @@ Cost-aware eviction decides what to *keep*; this module decides what to
 :class:`WarmAheadWorker` later replays those queries through the ordinary
 :class:`~repro.db.executor.QueryExecutor` — between requests on the serving
 tier, or after each experiment in an opt-in batch mode — so the put-through
-cache tiers (shared manager, remote server with persistence) are populated
-before the next analyst asks.
+cache server (remote backend, optionally persisted) is populated before the
+next analyst asks.
 
 Replays happen at *query* level, not key level: wire keys are content
 fingerprints and cannot be reversed into work, but re-executing the query
@@ -16,13 +16,9 @@ under exactly the keys any later request will look up.  Because every cached
 value is a pure function of its key, a warmed entry is byte-identical to the
 entry the miss would eventually have produced — warming changes *when* work
 happens, never *what* is computed, so results stay byte-identical with
-warming on or off (the parity suite pins this).
-
-The cache server keeps its own complementary miss log (the ``warm`` wire op,
-see :class:`~repro.db.cache.server.MissLog`): the server sees every client's
-misses but cannot replay them; this queue can replay but only sees its own
-process.  The serving tier uses the queue (it holds the live databases);
-the server log is observability and cross-process coordination.
+warming on or off (the parity suite pins this).  The queue is the only
+warming path: it runs where the live databases are, and the cache server,
+which never decodes keys, could not replay a miss itself.
 """
 
 from __future__ import annotations

@@ -29,13 +29,12 @@ Headers are plain JSON objects and *extensible*: readers ignore fields they
 do not know, which is how optional metadata rides along without a protocol
 bump.  The ``trace`` field on get/put (:data:`TRACE_HEADER_FIELD`, a
 ``{"trace_id", "span_id"}`` dict from :func:`repro.obs.trace.wire_context`)
-propagates request traces across the wire — a v2 server records its
+propagates request traces across the wire — a v2+ server records its
 handling as a child span, an older server simply ignores the field, and
 the bytes of every *response* are identical either way.
 
 Trust boundary: payload decoding falls back to pickle, so a cache server
-must only be shared by mutually trusting processes on a trusted network —
-the same boundary as the shared backend's ``multiprocessing.Manager`` tier.
+must only be shared by mutually trusting processes on a trusted network.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ The engine owns no cache storage.  Every artefact above is read and written
 through a :class:`~repro.db.cache.CacheBackend` (see :mod:`repro.db.cache`
 and ``docs/CACHE.md``) under the database's content-derived namespace, so the
 same engine code runs against in-process storage (the default) or a
-cross-worker shared-memory tier (``--cache-backend shared``) — the backend is
+cache server shared across workers and runs (``--cache-backend remote``) — the backend is
 the seam, the engine only decides *what* is worth caching and how to compute
 it on a miss.
 
@@ -91,7 +91,7 @@ def _release_engine_storage(engine: "ExecutionEngine") -> None:
     collected (weak-keyed registry), and a process-global backend must
     reproduce that bound or a run sweeping many databases would pin every
     instance's masks and cubes until namespace eviction.  ``release`` (not
-    ``clear``) so the shared backend's cross-process tier survives — another
+    ``clear``) so the remote backend's cache server keeps its entries — another
     worker's copy of the same logical database may still be live.
 
     Takes the engine (which only references its database weakly, so this
@@ -125,7 +125,7 @@ class ExecutionEngine:
         ``"active"`` makes the engine resolve
         :func:`repro.db.cache.active_backend` dynamically on every access;
         :meth:`for_database` uses this so installing a run-wide backend
-        (e.g. the shared one) takes effect for every shared engine at once,
+        (e.g. the remote one) takes effect for every shared engine at once,
         including engines that forked workers inherited.
     chunk_rows:
         Row-chunk size of the streaming kernels (masks, fan-out, measures,
@@ -241,7 +241,7 @@ class ExecutionEngine:
         and reset the backend's hit/miss/eviction counters.
 
         The namespace is recomputed from the mutated content, so entries
-        another engine (or another process, on the shared backend) filed
+        another engine (or another process, on the remote backend) filed
         under the old content can never be served for the new one — and the
         old namespace is cleared outright so stale cubes and memoized answers
         do not linger in storage either.

@@ -7,14 +7,15 @@ Usage::
     python -m repro.evaluation.cli --only table1 figure9
     python -m repro.evaluation.cli --output-dir results/
     python -m repro.evaluation.cli --jobs 4        # parallel trial scheduler
-    python -m repro.evaluation.cli --jobs 4 --cache-backend shared --cache-stats
+    python -m repro.evaluation.cli --jobs 4 --cache-backend remote \
+        --cache-path cache.db --cache-stats
 
 The whole invocation runs inside one :func:`~repro.evaluation.parallel.evaluation_session`:
 a single worker pool serves every requested experiment, and the configured
 cache backend (``--cache-backend``) is installed process-wide before that
-pool forks, so with the shared backend the workers exchange selection masks,
-data cubes and exact answers for the entire run (``--cache-stats`` reports
-the counters).  Each experiment prints its text table and, when
+pool forks, so with ``--cache-backend remote`` the workers exchange selection
+masks, data cubes and exact answers through one cache server for the entire
+run (``--cache-stats`` reports the counters).  Each experiment prints its text table and, when
 ``--output-dir`` is given, writes a CSV with the same rows.  The experiment
 set and configurations are the ones documented in DESIGN.md and
 EXPERIMENTS.md.
@@ -112,10 +113,11 @@ def run_experiments(
     results: dict[str, ExperimentResult] = {}
     # The local backend's counters are per process: with a worker pool the
     # parent only sees its own warm-up traffic, so say so rather than print
-    # near-zero rates as if they covered the run.  The shared backend's
+    # near-zero rates as if they covered the run.  The remote backend's
     # shared_* counters are fork-shared and do cover every worker.
     stats_scope = (
-        " (parent process only; use --cache-backend shared for run-wide counters)"
+        " (parent process only; use --cache-backend remote --cache-path FILE"
+        " for run-wide counters)"
         if config.jobs > 1 and config.cache_backend == "local"
         else ""
     )
@@ -208,11 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="local",
         help=(
             "cache backend of the run's execution engines: 'local' keeps every "
-            "cache in-process; 'shared' lets pool workers share selection masks, "
-            "data cubes and exact answers through a manager process; 'remote' "
-            "shares them through an out-of-process cache server (--cache-url / "
-            "--cache-path) that batch and serving runs can both reach "
-            "(results are identical for every choice)"
+            "cache in-process; 'remote' lets pool workers share selection masks, "
+            "data cubes and exact answers through a cache server (--cache-path "
+            "embeds one for the run, --cache-url names a running one that batch "
+            "and serving runs can both reach; results are identical either way)"
         ),
     )
     parser.add_argument(
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=192,
         help=(
             "maximum entries per bounded cache region (masks, contributions, "
-            "results); the shared backend's cross-process tier is bounded at "
+            "results); an embedded cache server (--cache-path) is bounded at "
             "16x this value"
         ),
     )

@@ -107,12 +107,11 @@ class ExperimentConfig:
         (see :mod:`repro.evaluation.parallel`).
     cache_backend:
         Cache backend of the run's execution engines: ``"local"``
-        (in-process, the default), ``"shared"`` (pool workers share
-        selection masks, cubes and exact answers through a
-        ``multiprocessing.Manager`` tier) or ``"remote"`` (an
-        out-of-process persistent cache server shared with other runs and
-        serving processes — see :mod:`repro.db.cache`).  Results are
-        identical for every value.
+        (in-process, the default) or ``"remote"`` (pool workers share
+        selection masks, cubes and exact answers through a cache server —
+        embedded for the run with ``cache_path``, or a running one named by
+        ``cache_url`` that other runs and serving processes share too; see
+        :mod:`repro.db.cache`).  Results are identical for either value.
     cache_size:
         Maximum entries per bounded cache region (masks, contributions,
         results); statistics regions are unbounded.
@@ -123,13 +122,13 @@ class ExperimentConfig:
         under either policy — eviction only changes what gets recomputed.
     cache_max_bytes:
         Optional byte budget per bounded in-process cache region alongside
-        the entry bound (cross-process tiers are bounded at 16 × this,
+        the entry bound (an embedded cache server is bounded at 16 × this,
         mirroring the entry convention).  ``None`` (the default) bounds by
         entry count only.
     warm_ahead:
         Replay observed exact-answer misses through the engine after each
-        experiment, pre-populating put-through cache tiers (shared /
-        remote) for the experiments that follow.  Off by default; results
+        experiment, pre-populating the put-through cache server (remote
+        backend) for the experiments that follow.  Off by default; results
         are byte-identical either way.
     cache_url:
         ``host:port`` of a running cache server

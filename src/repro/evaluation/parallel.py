@@ -25,16 +25,16 @@ loop itself.  This module fans cells out over a ``ProcessPoolExecutor``:
   caches; with the run-wide session pool (which forks during the *first*
   experiment's map) it covers the first experiment only, and later
   experiments' databases are rebuilt once per worker — sharing their
-  *cached artefacts* across processes is what ``--cache-backend shared``
-  is for.
+  *cached artefacts* across processes is what ``--cache-backend remote``
+  (with ``--cache-path``, an embedded cache server for the run) is for.
 * One pool can serve a whole CLI run: :func:`evaluation_session` installs a
   run-wide cache backend (see :mod:`repro.db.cache`) and a *persistent*
   :class:`TrialScheduler` that every driver picks up through
   :func:`scheduler_for`, so ``repro.evaluation.cli`` with several experiments
   forks exactly one worker pool instead of one per experiment.  Under the
-  shared backend the workers of that one pool keep exchanging selection
+  remote backend the workers of that one pool keep exchanging selection
   masks, cubes and exact answers with each other (and with the parent's
-  per-experiment warm-up) for the entire run.
+  per-experiment warm-up) through the cache server for the entire run.
 
 Cell functions must be importable module-level callables (the pool pickles
 them by qualified name); drivers bind their configuration with
@@ -332,12 +332,17 @@ class TrialScheduler:
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         processes = list(getattr(pool, "_processes", {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             if process.is_alive():
                 process.terminate()
         for process in processes:
             process.join(timeout=5)
+        # The executor's manager thread reaps the same workers; until it has
+        # recorded their exit codes, is_alive() may still report True.
+        if manager is not None:
+            manager.join(timeout=5)
 
     def __enter__(self) -> "TrialScheduler":
         return self
@@ -380,8 +385,8 @@ def evaluation_session(config: ExperimentConfig) -> Iterator[TrialScheduler]:
 
     * the configured cache backend (``config.cache_backend`` /
       ``config.cache_size``) as the process-wide active backend — created
-      *before* any pool forks, so a shared backend's manager process and
-      counters are inherited by every worker;
+      *before* any pool forks, so a remote backend's server address (or
+      embedded server) and counters are inherited by every worker;
     * one persistent :class:`TrialScheduler` that all drivers reached through
       :func:`scheduler_for` share — ``repro.evaluation.cli`` with any number
       of experiments creates exactly one worker pool;
@@ -391,9 +396,9 @@ def evaluation_session(config: ExperimentConfig) -> Iterator[TrialScheduler]:
       JSONL file collects spans from every process of the run.
 
     Teardown order matters and is the reverse: the pool is closed first (no
-    worker may touch the shared tier afterwards), then the backend is closed
-    (shutting down a shared backend's manager process), then the previously
-    active backend is restored.  On SIGINT/``SystemExit`` the pool is
+    worker may touch the cache server afterwards), then the backend is
+    closed (stopping a remote backend's embedded server), then the
+    previously active backend is restored.  On SIGINT/``SystemExit`` the pool is
     *terminated* instead — queued cells are cancelled and workers are killed
     and joined — so an interrupted run never strands worker processes.
     Sessions may nest; the inner session simply shadows the outer one's

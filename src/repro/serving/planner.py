@@ -19,7 +19,7 @@ offline drivers use, and the execution path *is* the offline path:
 :func:`~repro.evaluation.runner.evaluate_kstar_mechanism` with that stream.
 Running the same request offline with :func:`request_stream` therefore
 produces byte-identical answers — the parity the serving tests pin, for the
-local and the shared cache backend alike.  Because the label ignores *who*
+local and the remote cache backend alike.  Because the label ignores *who*
 asks and *when*, concurrent identical requests are also identical
 computations, which is what makes single-flight coalescing
 (:mod:`repro.serving.singleflight`) safe.

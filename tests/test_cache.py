@@ -1,9 +1,11 @@
 """Suite for the pluggable cache-backend layer (:mod:`repro.db.cache`).
 
 The heart of the file is the **cross-backend conformance harness**: one
-suite parameterized over every backend — ``local``, ``shared`` (Manager
-tier) and ``remote`` (out-of-process cache server) — pinning the protocol
-semantics all of them must agree on (see docs/CACHE.md):
+suite parameterized over every backend — ``local``, ``remote`` (a client of
+an out-of-process cache server) and ``embedded`` (the remote backend
+starting its own server, the ``--cache-path`` form a run's workers share) —
+pinning the protocol semantics all of them must agree on (see
+docs/CACHE.md):
 
 * misses are ``None``; values round-trip bit-identically;
 * hit / miss / put / eviction counters, and the ``clear()`` contract —
@@ -14,17 +16,17 @@ semantics all of them must agree on (see docs/CACHE.md):
 * ``invalidate()`` after an in-place database mutation leaves no stale
   cube, mask or memoized answer reachable and resets the stats counters.
 
-Backend-specific behaviour (the shared tier's fork semantics, the namespace
-LRU of the local backend) keeps its own sections below; the cache *server*
-itself — wire formats, persistence, failure injection — is covered in
-``tests/test_cache_server.py``.
+Backend-specific behaviour (the remote tier's promotion rules, the
+namespace LRU and thread safety of the local backend) keeps its own sections
+below; the cache *server* itself — wire formats, persistence, failure
+injection — is covered in ``tests/test_cache_server.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,11 +36,9 @@ from repro.db.cache import (
     CacheBackend,
     CacheStats,
     LocalCacheBackend,
-    LruCache,
     REGIONS,
     RemoteCacheBackend,
     SHARED_REGIONS,
-    SharedMemoryCacheBackend,
     active_backend,
     backend_scope,
     database_fingerprint,
@@ -54,12 +54,13 @@ from repro.db.join import execute_by_materialised_join
 from repro.datagen.ssb import ssb_schema
 from repro.workloads.ssb_queries import ssb_query
 
-#: Every backend the conformance suite runs over.
-ALL_BACKENDS = ("local", "shared", "remote")
+#: Every backend the conformance suite runs over; ``embedded`` is the remote
+#: backend owning an embedded server (``--cache-path``).
+ALL_BACKENDS = ("local", "remote", "embedded")
 
-#: A bounded region that stays in-process on every backend (not replicated
-#: to a shared/remote tier), so LRU and entry-count assertions read the same
-#: storage everywhere.
+#: A bounded region that stays in-process on every backend (not written
+#: through to a cache server), so LRU and entry-count assertions read the
+#: same storage everywhere.
 LOCAL_BOUNDED_REGION = "predicate_mask"
 
 #: An unbounded region that stays in-process on every backend.
@@ -67,7 +68,7 @@ LOCAL_UNBOUNDED_REGION = "fan_out"
 
 
 @pytest.fixture(params=ALL_BACKENDS)
-def any_backend(request):
+def any_backend(request, tmp_path):
     """A small instance of each backend; remote gets its own live server."""
     if request.param == "remote":
         with CacheServerThread(max_entries=512) as handle:
@@ -77,16 +78,16 @@ def any_backend(request):
             yield backend
             backend.close()
     else:
-        backend = make_backend(request.param, max_entries=32)
+        backend = _make(request.param, 32, tmp_path)
         yield backend
         _close(backend)
 
 
-@pytest.fixture()
-def shared_backend():
-    backend = SharedMemoryCacheBackend(max_entries=32, max_shared_entries=64)
-    yield backend
-    backend.close()
+def _make(name, max_entries, tmp_path):
+    """``make_backend`` for a local or embedded conformance backend."""
+    if name == "embedded":
+        return make_backend("remote", max_entries, path=str(tmp_path / "cache.db"))
+    return make_backend(name, max_entries)
 
 
 def _close(backend) -> None:
@@ -179,7 +180,7 @@ class TestConformanceStats:
         assert small.entry_count("ns") <= small.max_entries
         assert any_backend.get("ns", LOCAL_BOUNDED_REGION, 3) == 3.0
 
-    def test_eviction_counter_counts_lru_overflow(self):
+    def test_eviction_counter_counts_lru_overflow(self, tmp_path):
         # The eviction counter itself, at a tiny bound, on every backend.
         for name in ALL_BACKENDS:
             if name == "remote":
@@ -190,7 +191,7 @@ class TestConformanceStats:
                     self._assert_evictions(backend)
                     backend.close()
             else:
-                backend = make_backend(name, max_entries=2)
+                backend = _make(name, 2, tmp_path)
                 try:
                     self._assert_evictions(backend)
                 finally:
@@ -248,7 +249,7 @@ class TestConformanceNamespacing:
         assert any_backend.get("ns-b", "result", "k") == 2.0
 
     def test_namespace_clear_reaches_every_tier(self, any_backend):
-        """A cleared namespace must not resurface from a shared/remote tier."""
+        """A cleared namespace must not resurface from the server tier."""
         any_backend.put("ns", "result", "k", 3.0)  # "result" is cross-tier
         any_backend.clear("ns")
         # Even with the in-process tier emptied, nothing may come back.
@@ -302,13 +303,13 @@ class TestConformanceInvalidate:
 
 
 class TestConformanceEngineAnswers:
-    def test_engine_answers_identical_across_backends(self, ssb_small):
+    def test_engine_answers_identical_across_backends(self, ssb_small, tmp_path):
         queries = [ssb_query(name, ssb_schema()) for name in ("Qc1", "Qs2", "Qg2")]
         answers = {}
         with CacheServerThread(max_entries=512) as handle:
             backends = {
                 "local": LocalCacheBackend(64),
-                "shared": SharedMemoryCacheBackend(max_entries=64),
+                "embedded": _make("embedded", 64, tmp_path),
                 "remote": RemoteCacheBackend(
                     host="127.0.0.1", port=handle.server.port, max_entries=64
                 ),
@@ -329,7 +330,7 @@ class TestConformanceEngineAnswers:
                 for backend in backends.values():
                     _close(backend)
         reference = answers["local"]
-        for label in ("shared", "remote"):
+        for label in ("embedded", "remote"):
             for local_answer, other_answer in zip(reference, answers[label]):
                 if hasattr(local_answer, "groups"):
                     assert local_answer.groups == other_answer.groups
@@ -338,24 +339,9 @@ class TestConformanceEngineAnswers:
 
 
 # ----------------------------------------------------------------------
-# LRU building block
+# statistics counters
 # ----------------------------------------------------------------------
-class TestLruCache:
-    def test_eviction_order_is_least_recently_used(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now oldest
-        assert cache.put("c", 3) == 1
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_put_reports_eviction_count(self):
-        cache = LruCache(1)
-        assert cache.put("a", 1) == 0
-        assert cache.put("b", 2) == 1
-        assert len(cache) == 1
-
+class TestCacheStats:
     def test_stats_addition_and_rates(self):
         total = CacheStats(hits=3, misses=1) + CacheStats(hits=1, misses=3, shared_hits=2)
         assert total.hits == 4 and total.misses == 4 and total.shared_hits == 2
@@ -385,6 +371,40 @@ class TestLocalNamespaceLru:
         backend.put("ns-c", "cube", "k", 3.0)  # now ns-b is the oldest
         assert backend.get("ns-b", "cube", "k") is None
         assert backend.get("ns-a", "cube", "k") == 1.0
+
+
+class TestLocalBackendThreads:
+    def test_engine_threads_can_share_one_backend(self):
+        """A query server's engine threads share one backend: concurrent
+        puts that evict and gets that freshen the namespace LRU must neither
+        raise nor lose a counter update."""
+        backend = LocalCacheBackend(max_entries=8)
+        calls, errors = 20_000, []
+
+        def hammer(offset):
+            try:
+                for index in range(calls):
+                    key = (offset + index) % 32
+                    backend.put("ns", "result", key, float(key), cost=1e-4 * (key % 5))
+                    backend.get("ns", "result", key)
+            except Exception as error:  # reported below, not swallowed
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = backend.stats()
+        assert stats.puts == 4 * calls
+        assert stats.hits + stats.misses == 4 * calls
 
 
 # ----------------------------------------------------------------------
@@ -427,73 +447,8 @@ class TestFingerprints:
 
 
 # ----------------------------------------------------------------------
-# the shared backend's cross-process tier
-# ----------------------------------------------------------------------
-def _shared_worker_read(key):
-    """Importable pool entry point: read a key through the active backend."""
-    backend = active_backend()
-    return backend.get("ns", "cube", key)
-
-
-def _shared_worker_write(payload):
-    key, value = payload
-    active_backend().put("ns", "cube", key, np.asarray(value, dtype=np.float64))
-    return True
-
-
-class TestSharedBackend:
-    def test_value_round_trip_preserves_bits(self, shared_backend):
-        values = np.array([1.25, -3.5e300, 0.0, 7e-17])
-        shared_backend.put("ns", "cube", "k", values)
-        shared_backend._local.clear()  # force the L2 path
-        fetched = shared_backend.get("ns", "cube", "k")
-        np.testing.assert_array_equal(fetched, values)
-        assert not fetched.flags.writeable  # frozen on promotion
-        assert shared_backend.stats().shared_hits == 1
-
-    def test_unshared_region_stays_local(self, shared_backend):
-        shared_backend.put("ns", "predicate_mask", "k", np.ones(3, dtype=bool))
-        shared_backend._local.clear()
-        assert shared_backend.get("ns", "predicate_mask", "k") is None
-        assert shared_backend.stats().shared_puts == 0
-
-    def test_workers_share_entries_with_each_other(self, shared_backend):
-        context = multiprocessing.get_context("fork")
-        with backend_scope(shared_backend):
-            # The write happens in a worker forked *before* the entry exists,
-            # so neither the parent's L1 nor any later fork inherits it …
-            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-                assert list(pool.map(_shared_worker_write, [("post-fork", [4.0, 2.0])]))
-            # … and a worker of a second pool (a different process by
-            # construction) can only obtain it through the cross-process tier.
-            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-                reads = list(pool.map(_shared_worker_read, ["post-fork"] * 2))
-        for fetched in reads:
-            np.testing.assert_array_equal(fetched, [4.0, 2.0])
-        assert shared_backend.stats().shared_hits > 0
-
-    def test_shared_tier_eviction_bounds_entries(self):
-        backend = SharedMemoryCacheBackend(max_entries=4, max_shared_entries=8)
-        try:
-            for index in range(20):
-                backend.put("ns", "result", index, float(index))
-            assert len(backend._store) <= 8
-            assert backend.stats().shared_evictions >= 12
-        finally:
-            backend.close()
-
-    def test_degrades_to_local_after_manager_loss(self):
-        backend = SharedMemoryCacheBackend(max_entries=4)
-        backend._manager.shutdown()
-        backend._broken = False  # simulate a worker that has not noticed yet
-        backend.put("ns", "result", "k", 1.0)  # must not raise
-        assert backend._broken
-        assert backend.get("ns", "result", "k") == 1.0  # L1 still serves
-
-
-# ----------------------------------------------------------------------
 # the remote backend's cross-tier behaviour (its server lives in
-# tests/test_cache_server.py; this section mirrors TestSharedBackend)
+# tests/test_cache_server.py)
 # ----------------------------------------------------------------------
 class TestRemoteBackend:
     def test_value_round_trip_preserves_bits(self):
@@ -603,13 +558,6 @@ class TestEngineBackendIntegration:
             gc.collect()
             assert backend.entry_count(fresh_namespace) == 0
 
-    def test_release_keeps_shared_tier(self, shared_backend):
-        shared_backend.put("ns", "cube", "k", 1.0)
-        shared_backend.release("ns")
-        assert ("ns", "cube", "k") in shared_backend._store  # L2 intact
-        shared_backend._local.clear()
-        assert shared_backend.get("ns", "cube", "k") == 1.0  # re-served from L2
-
     def test_shared_engine_follows_the_active_backend(self, ssb_small):
         engine = ExecutionEngine.for_database(ssb_small)
         replacement = LocalCacheBackend(16)
@@ -661,9 +609,12 @@ class TestUtilityCache:
         cache = UtilityCache(max_entries=10, max_bytes=100)
         cache.put("small", np.zeros(8))
         evicted = cache.put("huge", np.zeros(1000))  # 8000 B > the whole budget
-        assert evicted == 0
+        assert evicted is None
         assert cache.get("huge") is None
         assert cache.get("small") is not None  # the resident entry kept its seat
+        # Refused under a stored key: the stored value stays (the server's rule).
+        assert cache.put("small", np.zeros(1000)) is None
+        assert cache.get("small").nbytes == 64
 
     def test_tie_break_is_insertion_order(self):
         cache = UtilityCache(max_entries=3)
@@ -749,15 +700,19 @@ class TestCostAwareLocalBackend:
         with pytest.raises(ValueError):
             UtilityCache(max_entries=4, policy="random")
 
-    def test_make_backend_threads_policy_and_budget(self):
+    def test_make_backend_threads_policy_and_budget(self, tmp_path):
         backend = make_backend("local", 8, policy="lru", max_bytes=1024)
         assert backend.policy == "lru" and backend.max_bytes == 1024
-        shared = make_backend("shared", 8, policy="lru", max_bytes=1024)
+        embedded = make_backend(
+            "remote", 8, path=str(tmp_path / "cache.db"), policy="lru", max_bytes=1024
+        )
         try:
-            assert shared.policy == "lru"
-            assert shared.max_shared_bytes == 1024 * 16
+            assert embedded.policy == "lru"
+            store = embedded._server_handle.server.store
+            assert store.policy == "lru"
+            assert store.max_bytes == 1024 * 16
         finally:
-            shared.close()
+            embedded.close()
 
 
 # ----------------------------------------------------------------------
@@ -787,7 +742,7 @@ class TestEvictionParity:
             result = table1.run(config, query_names=self.QUERIES)
         return [{k: v for k, v in row.items() if k != "mean_time_s"} for row in result.rows]
 
-    def test_policy_budget_and_warming_change_no_bytes(self, tiny_config):
+    def test_policy_budget_and_warming_change_no_bytes(self, tiny_config, tmp_path):
         reference = self._rows(tiny_config)
         variants = [
             dataclasses.replace(tiny_config, cache_policy="lru"),
@@ -797,7 +752,11 @@ class TestEvictionParity:
             ),
             dataclasses.replace(tiny_config, warm_ahead=True),
             dataclasses.replace(
-                tiny_config, cache_backend="shared", cache_max_bytes=4096, jobs=2
+                tiny_config,
+                cache_backend="remote",
+                cache_path=str(tmp_path / "cache.db"),
+                cache_max_bytes=4096,
+                jobs=2,
             ),
         ]
         for config in variants:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import io
+import random
 import socket
 import struct
 
@@ -30,6 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db.cache import (
+    EVICTION_POLICIES,
     LocalCacheBackend,
     REGIONS,
     RemoteCacheBackend,
@@ -441,6 +443,23 @@ class TestServerProtocol:
         first.close()
         second.close()
 
+    def test_old_protocol_ops_still_answered(self, server):
+        """A put without a cost field (the protocol-v1 form) is still valid."""
+        backend = _connect(server)
+        response, _ = backend._request({"op": "ping"})
+        assert response["protocol"] >= 2
+        encoded_key = encode_key("ns", "cube", "k")
+        header = {
+            "op": "put",
+            "namespace": "ns",
+            "region": "cube",
+            "key": key_to_header(encoded_key),
+        }
+        response, _ = backend._request(header, encode_payload(1.5))
+        assert response["stored"] is True
+        assert server.server.store.entry_count("ns") == 1
+        backend.close()
+
 
 class TestCacheUrl:
     def test_parse_variants(self):
@@ -666,13 +685,13 @@ class TestCostAwareStore:
         store.close()
         reloaded = CacheStore(path=str(path), max_entries=8)
         assert reloaded.entry_cost("ns", "result", b"k") == 2.5
-        meta = reloaded._meta[("ns", "result", b"k")]
-        assert meta[2] == 1  # nbytes
+        assert reloaded.nbytes == 1
         reloaded.close()
 
-    def test_v1_file_without_metadata_columns_migrates_in_place(self, tmp_path):
+    def test_v1_file_is_quarantined_and_server_starts_empty(self, tmp_path):
         """A persistence file written by a protocol-v1 server (four columns,
-        no metadata) must load warm — migrated, never quarantined."""
+        no access metadata) takes the corrupt-file path: moved aside with a
+        warning, and the store starts empty on a fresh, writable file."""
         import sqlite3
 
         path = tmp_path / "cache.db"
@@ -688,11 +707,36 @@ class TestCostAwareStore:
         )
         conn.commit()
         conn.close()
-        store = CacheStore(path=str(path), max_entries=8)
-        assert store.loaded_from_disk == 1
-        assert store.get("ns", "result", b"k") == b"v"
-        store.put("ns", "result", b"j", b"w", cost=1.0)  # new columns writable
+        with pytest.warns(RuntimeWarning, match="unreadable"):
+            store = CacheStore(path=str(path), max_entries=8)
+        assert store.loaded_from_disk == 0 and store.entry_count() == 0
+        assert path.with_suffix(".db.corrupt").exists()
+        store.put("ns", "result", b"j", b"w", cost=1.0)
         store.close()
+        reloaded = CacheStore(path=str(path), max_entries=8)
+        assert reloaded.get("ns", "result", b"j") == b"w"
+        reloaded.close()
+
+    @pytest.mark.parametrize("policy", EVICTION_POLICIES)
+    @pytest.mark.parametrize("max_bytes", [None, 150])
+    def test_l1_and_server_evict_the_same_entries(self, policy, max_bytes):
+        """One seeded put/get/cost history through a bounded L1 region and
+        through the server's store leaves the same survivors after every
+        step — including oversize puts to keys that are already stored."""
+        rng = random.Random(1)
+        local = LocalCacheBackend(max_entries=6, policy=policy, max_bytes=max_bytes)
+        store = CacheStore(max_entries=6, max_bytes=max_bytes, policy=policy)
+        for step in range(400):
+            key = b"k%d" % rng.randrange(12)
+            if rng.random() < 0.6:
+                value = b"x" * rng.choice((8, 30, 60, 200))  # 200 > the 150 B budget
+                cost = rng.choice((None, 1e-4, 1e-3, 2e-2))
+                local.put("ns", "result", key, value, cost)
+                store.put("ns", "result", key, value, cost)
+            else:
+                assert local.get("ns", "result", key) == store.get("ns", "result", key)
+            survivors = sorted(local._store("ns", "result")._data)
+            assert survivors == sorted(address[2] for address in store._data), step
 
 
 class TestByteBudgetServer:
@@ -732,8 +776,8 @@ class TestCostOnTheWire:
     def test_put_cost_round_trips_to_store(self, server):
         backend = _connect(server)
         backend.put("ns", "cube", "k", np.arange(4), cost=0.125)
-        address = next(iter(server.server.store._data))
-        assert server.server.store._meta[address][4] == 0.125
+        stored_key = encode_key("ns", "cube", "k")
+        assert server.server.store.entry_cost("ns", "cube", stored_key) == 0.125
         backend.close()
 
     def test_hit_promotes_cost_to_l1(self, server):
@@ -741,11 +785,9 @@ class TestCostOnTheWire:
         first.put("ns", "result", "k", np.arange(4), cost=0.5)
         second = _connect(server)
         assert second.get("ns", "result", "k") is not None
-        # The promoted L1 entry carries the server's cost metadata: its
-        # utility term is cost/bytes, not the neutral cost-less 1.0.
-        store = second._local._store("ns", "result")
-        (meta,) = store._meta.values()
-        assert meta[4] != 1.0
+        # The promoted L1 entry carries the server's cost metadata, so it
+        # competes on cost/bytes, not the neutral cost-less utility.
+        assert second._local._store("ns", "result").cost("k") == 0.5
         first.close()
         second.close()
 
@@ -796,76 +838,3 @@ class TestFingerprintShortCircuit:
         assert second.breaker_stats()["put_short_circuits"] == 1
         first.close()
         second.close()
-
-
-# ----------------------------------------------------------------------
-# the miss log and the warm op
-# ----------------------------------------------------------------------
-class TestMissLogAndWarmOp:
-    def test_misses_are_recorded_per_namespace(self, server):
-        backend = _connect(server)
-        backend.get("ns-a", "cube", "k1")
-        backend.get("ns-a", "cube", "k2")
-        backend.get("ns-b", "cube", "k1")
-        log = backend.miss_log()
-        assert log["recorded"] == 3
-        assert log["counts"] == {"ns-a": 2, "ns-b": 1}
-        assert len(log["recent"]) == 3
-        backend.close()
-
-    def test_namespace_scope_and_clear(self, server):
-        backend = _connect(server)
-        backend.get("ns-a", "cube", "k")
-        backend.get("ns-b", "cube", "k")
-        scoped = backend.miss_log("ns-a")
-        assert [entry[0] for entry in scoped["recent"]] == ["ns-a"]
-        drained = backend.miss_log(clear=True)
-        assert drained["recorded"] == 2
-        assert backend.miss_log()["recent"] == []
-        backend.close()
-
-    def test_hits_are_not_recorded(self, server):
-        backend = _connect(server)
-        backend.put("ns", "cube", "k", 1.0)
-        backend._local.clear()
-        assert backend.get("ns", "cube", "k") == 1.0
-        assert backend.miss_log()["recorded"] == 0
-        backend.close()
-
-    def test_recent_log_is_bounded_and_deduped(self):
-        from repro.db.cache.server import MissLog
-
-        log = MissLog(max_recent=4)
-        for index in range(10):
-            log.record("ns", "result", b"k%d" % index)
-        assert len(log.snapshot()) == 4
-        log.record("ns", "result", b"k9")  # re-miss: de-duped, refreshed
-        assert len(log.snapshot()) == 4
-        assert log.recorded == 11
-
-    def test_stats_expose_miss_log_counter(self, server):
-        backend = _connect(server)
-        backend.get("ns", "cube", "nope")
-        assert backend.server_stats()["miss_log_recorded"] == 1
-        backend.close()
-
-    def test_old_protocol_ops_still_answered(self, server):
-        """Protocol v2 must keep serving a v1 client: the v1 op set (no cost
-        field, no warm op) round-trips unchanged."""
-        backend = _connect(server)
-        response, _ = backend._request({"op": "ping"})
-        assert response["protocol"] >= 2
-        # A v1-style put header (no cost field) is accepted verbatim.
-        from repro.db.cache.wire import encode_key, encode_payload, key_to_header
-
-        encoded_key = encode_key("ns", "cube", "k")
-        header = {
-            "op": "put",
-            "namespace": "ns",
-            "region": "cube",
-            "key": key_to_header(encoded_key),
-        }
-        response, _ = backend._request(header, encode_payload(1.5))
-        assert response["stored"] is True
-        assert server.server.store.entry_count("ns") == 1
-        backend.close()

@@ -71,7 +71,7 @@ class TestMain:
         assert main(["--only", "figure9", "--cache-size", "0"]) == 2
         assert "--cache-size" in capsys.readouterr().err
 
-    def test_main_cache_stats_reports_counters(self, capsys):
+    def test_main_cache_stats_reports_counters(self, capsys, tmp_path):
         exit_code = main(
             [
                 "--only",
@@ -81,14 +81,16 @@ class TestMain:
                 "--rows-per-scale-factor",
                 "4000",
                 "--cache-backend",
-                "shared",
+                "remote",
+                "--cache-path",
+                str(tmp_path / "cache.db"),
                 "--cache-stats",
             ]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "[cache after figure9:" in out
-        assert "[cache backend 'shared' (run total):" in out
+        assert "[cache backend 'remote' (run total):" in out
         assert "hits=" in out
 
     def test_cache_stats_flags_parent_only_counters_for_local_jobs(self, capsys):

@@ -23,7 +23,6 @@ import pytest
 from repro.db.cache import (
     LocalCacheBackend,
     RemoteCacheBackend,
-    SharedMemoryCacheBackend,
     backend_scope,
 )
 from repro.db.cache.server import CacheServerThread
@@ -327,16 +326,6 @@ class TestTelemetryConformance:
         _assert_unified(snapshot)
         assert snapshot["counters"]["hits"] == 1
         assert snapshot["subsystem"]["backend"] == "local"
-
-    def test_shared_backend(self):
-        backend = SharedMemoryCacheBackend(max_entries=8)
-        try:
-            snapshot = backend.telemetry_snapshot()
-            _assert_unified(snapshot)
-            assert snapshot["subsystem"]["backend"] == "shared"
-            assert snapshot["subsystem"]["degraded"] is False
-        finally:
-            backend.close()
 
     def test_remote_backend_and_cache_server(self):
         with CacheServerThread(max_entries=64) as handle:

@@ -165,8 +165,8 @@ def _canonical_csv(result, tmp_path, label: str) -> str:
 class TestBackendParity:
     """Experiment CSVs are byte-identical across cache backends and job
     counts: ``local`` serial is the reference, every (backend, jobs)
-    combination — including the out-of-process cache server — must
-    reproduce it exactly."""
+    combination — including the out-of-process cache server, named by URL
+    or embedded for the run (``embedded``) — must reproduce it exactly."""
 
     QUERIES = ("Qc1", "Qs2", "Qg2")
 
@@ -176,9 +176,17 @@ class TestBackendParity:
         return _canonical_csv(result, tmp_path, label)
 
     @contextmanager
-    def _configured(self, tiny_config, backend, jobs):
-        """A config for (backend, jobs); 'remote' gets a live cache server."""
-        if backend == "remote":
+    def _configured(self, tiny_config, tmp_path, backend, jobs):
+        """A config for (backend, jobs); 'remote' gets a live cache server,
+        'embedded' a ``cache_path`` the session starts a server on."""
+        if backend == "embedded":
+            yield dataclasses.replace(
+                tiny_config,
+                jobs=jobs,
+                cache_backend="remote",
+                cache_path=str(tmp_path / "cache.db"),
+            )
+        elif backend == "remote":
             from repro.db.cache.server import CacheServerThread
 
             with CacheServerThread(max_entries=4096) as handle:
@@ -191,7 +199,7 @@ class TestBackendParity:
         else:
             yield dataclasses.replace(tiny_config, jobs=jobs, cache_backend=backend)
 
-    @pytest.mark.parametrize("backend", ["local", "shared", "remote"])
+    @pytest.mark.parametrize("backend", ["local", "remote", "embedded"])
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_csv_identical_to_serial_local_run(self, tiny_config, tmp_path, backend, jobs):
         reference = self._table1_csv(
@@ -199,22 +207,22 @@ class TestBackendParity:
             tmp_path,
             "reference",
         )
-        with self._configured(tiny_config, backend, jobs) as config:
+        with self._configured(tiny_config, tmp_path, backend, jobs) as config:
             variant = self._table1_csv(config, tmp_path, f"{backend}-j{jobs}")
         assert variant == reference
 
-    def test_shared_backend_scores_cross_worker_hits(self, tiny_config):
-        config = dataclasses.replace(tiny_config, jobs=4, cache_backend="shared")
-        with evaluation_session(config):
-            table1.run(config, query_names=self.QUERIES)
-            stats = active_backend().stats()
+    def test_embedded_server_scores_cross_worker_hits(self, tiny_config, tmp_path):
+        with self._configured(tiny_config, tmp_path, "embedded", jobs=4) as config:
+            with evaluation_session(config):
+                table1.run(config, query_names=self.QUERIES)
+                stats = active_backend().stats()
         assert stats.shared_puts > 0
         assert stats.shared_hits > 0  # some worker was served by another's work
 
-    def test_remote_backend_scores_cross_process_hits(self, tiny_config):
+    def test_remote_backend_scores_cross_process_hits(self, tiny_config, tmp_path):
         """Forked workers reconnect to the cache server and exchange
-        artefacts through it, exactly like the shared tier."""
-        with self._configured(tiny_config, "remote", jobs=4) as config:
+        artefacts through it."""
+        with self._configured(tiny_config, tmp_path, "remote", jobs=4) as config:
             with evaluation_session(config):
                 table1.run(config, query_names=self.QUERIES)
                 stats = active_backend().stats()
@@ -262,12 +270,14 @@ class TestRunWideScheduler:
             assert scheduler.map(abs, [-4, -5, -6]) == [4, 5, 6]
         assert TrialScheduler.pools_created - before == 1
 
-    def test_nested_sessions_restore_outer(self, tiny_config):
+    def test_nested_sessions_restore_outer(self, tiny_config, tmp_path):
         with evaluation_session(tiny_config) as outer:
-            inner_config = dataclasses.replace(tiny_config, cache_backend="shared")
+            inner_config = dataclasses.replace(
+                tiny_config, cache_backend="remote", cache_path=str(tmp_path / "cache.db")
+            )
             with evaluation_session(inner_config) as inner:
                 assert active_scheduler() is inner
-                assert active_backend().name == "shared"
+                assert active_backend().name == "remote"
             assert active_scheduler() is outer
             assert active_backend().name == "local"
 

@@ -21,7 +21,6 @@ import pytest
 from repro.db.cache import (
     LocalCacheBackend,
     RemoteCacheBackend,
-    SharedMemoryCacheBackend,
     backend_scope,
 )
 from repro.db.executor import QueryExecutor
@@ -315,8 +314,9 @@ class TestOfflineParity:
         assert payload["answers"] == [serialize_answer(a) for a in offline.answers]
         assert payload["mean_relative_error"] == offline.mean_relative_error
 
-    def test_parity_across_cache_backends(self, planner):
-        """--cache-backend local and shared serve identical bytes."""
+    def test_parity_across_cache_backends(self, planner, tmp_path):
+        """--cache-backend local and remote (embedded server) serve
+        identical bytes."""
         request = {
             "database": "demo",
             "mechanism": "PM",
@@ -326,21 +326,21 @@ class TestOfflineParity:
         }
         with backend_scope(LocalCacheBackend(64)):
             local = planner.execute(planner.plan(request))
-        shared_backend = SharedMemoryCacheBackend(64)
+        remote_backend = RemoteCacheBackend(path=str(tmp_path / "cache.db"), max_entries=64)
         try:
-            with backend_scope(shared_backend):
-                shared = planner.execute(planner.plan(request))
-                # Run twice under the shared tier: the second pass is served
+            with backend_scope(remote_backend):
+                remote = planner.execute(planner.plan(request))
+                # Run twice through the server: the second pass is served
                 # from cache and must not change the bytes either.
-                shared_again = planner.execute(planner.plan(request))
+                remote_again = planner.execute(planner.plan(request))
         finally:
-            shared_backend.close()
+            remote_backend.close()
         assert (
             json.dumps(local["answers"])
-            == json.dumps(shared["answers"])
-            == json.dumps(shared_again["answers"])
+            == json.dumps(remote["answers"])
+            == json.dumps(remote_again["answers"])
         )
-        assert local["mean_relative_error"] == shared["mean_relative_error"]
+        assert local["mean_relative_error"] == remote["mean_relative_error"]
 
     def test_parity_with_tracing_on(self, planner, tmp_path):
         """--trace-path observes the request; the bytes must not move."""
