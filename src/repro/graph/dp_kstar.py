@@ -28,7 +28,7 @@ from repro.dp.noise import cauchy_noise, laplace_noise
 from repro.dp.sensitivity import smooth_sensitivity_truncated_kstar
 from repro.exceptions import PrivacyBudgetError
 from repro.graph.edge_table import Graph
-from repro.graph.kstar import KStarQuery, kstar_count, per_node_star_counts, star_count_prefix
+from repro.graph.kstar import KStarQuery, kstar_count, star_count_prefix, star_count_table
 from repro.rng import RngLike, ensure_rng
 
 __all__ = ["KStarPM", "KStarR2T", "KStarTM"]
@@ -145,25 +145,32 @@ class KStarTM:
         self.gamma = float(gamma)
         self._rng = ensure_rng(rng)
 
-    def _pick_threshold(self, degrees: np.ndarray) -> int:
+    def _pick_threshold(self, graph: Graph) -> int:
+        """τ: the fixed threshold, else the degree quantile, once per graph."""
         if self.threshold is not None:
             return int(self.threshold)
-        positive = degrees[degrees > 0]
-        if positive.size == 0:
-            return 1
-        return int(max(np.quantile(positive, self.threshold_quantile), 1))
+        threshold = graph._tm_thresholds.get(self.threshold_quantile)
+        if threshold is None:
+            degrees = graph.degrees()
+            positive = degrees[degrees > 0]
+            threshold = 1
+            if positive.size:
+                threshold = int(max(np.quantile(positive, self.threshold_quantile), 1))
+            graph._tm_thresholds[self.threshold_quantile] = threshold
+        return threshold
 
     def answer_value(self, graph: Graph, query: KStarQuery, rng: RngLike = None) -> float:
         generator = ensure_rng(rng) if rng is not None else self._rng
-        degrees = graph.degrees()
-        threshold = self._pick_threshold(degrees)
+        threshold = self._pick_threshold(graph)
 
         # Naive truncation: drop edges of over-threshold nodes, then count.
         # Only the truncated degree sequence is needed for the degree-based
-        # count, so the subgraph is never materialised.
+        # count, so the subgraph is never materialised; its degrees are all
+        # ≤ τ (and ≤ the graph's maximum), so a C(d, k) table prices them.
         truncated_degrees = graph.truncated_degree_sequence(threshold, rng=generator)
         low, high = query.resolved_range(graph.num_nodes)
-        star_counts = per_node_star_counts(truncated_degrees, query.k)
+        table = star_count_table(min(threshold, graph.max_degree()), query.k)
+        star_counts = table[truncated_degrees]
         truncated_count = float(star_counts[low : high + 1].sum()) if low <= high else 0.0
 
         beta = self.epsilon / (2.0 * (self.gamma + 1.0))

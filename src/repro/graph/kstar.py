@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -30,6 +31,7 @@ __all__ = [
     "kstar_count_by_join",
     "per_node_star_counts",
     "star_count_prefix",
+    "star_count_table",
 ]
 
 
@@ -74,6 +76,22 @@ def per_node_star_counts(degrees: np.ndarray, k: int) -> np.ndarray:
     return per_degree[inverse]
 
 
+@lru_cache(maxsize=64)
+def star_count_table(max_degree: int, k: int) -> np.ndarray:
+    """``C(d, k)`` for ``d = 0 .. max_degree``, as float64, read-only.
+
+    Indexing it with a degree sequence bounded by ``max_degree`` (a truncated
+    one) gives each node the same float as :func:`per_node_star_counts`,
+    without sorting the sequence.
+    """
+    table = np.array(
+        [float(math.comb(d, k)) if d >= k else 0.0 for d in range(max_degree + 1)],
+        dtype=np.float64,
+    )
+    table.flags.writeable = False
+    return table
+
+
 def star_count_prefix(graph: Graph, k: int) -> np.ndarray:
     """Prefix sums of the per-node k-star counts, cached on the graph.
 
@@ -87,6 +105,7 @@ def star_count_prefix(graph: Graph, k: int) -> np.ndarray:
     if prefix is None:
         counts = per_node_star_counts(graph.degrees(), k)
         prefix = np.concatenate([[0.0], np.cumsum(counts)])
+        prefix.flags.writeable = False
         graph._star_prefix_cache[k] = prefix
     return prefix
 

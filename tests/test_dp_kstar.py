@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.dp.noise import cauchy_noise
+from repro.dp.sensitivity import smooth_sensitivity_truncated_kstar
 from repro.graph.dp_kstar import KStarPM, KStarR2T, KStarTM
 from repro.graph.edge_table import Graph
-from repro.graph.kstar import KStarQuery, kstar_count
+from repro.graph.kstar import KStarQuery, kstar_count, per_node_star_counts
 from repro.exceptions import PrivacyBudgetError
 
 
@@ -84,6 +86,34 @@ class TestKStarTM:
         exact = kstar_count(small_graph, query)
         mechanism = KStarTM(epsilon=1e6, threshold=1)
         assert mechanism.answer_value(small_graph, query, rng=2) < exact
+
+    def test_threshold_is_the_degree_quantile_per_quantile(self, small_graph):
+        degrees = small_graph.degrees()
+        positive = degrees[degrees > 0]
+        for quantile in (0.5, 0.9, 0.99, 0.5, 1.0):
+            expected = int(max(np.quantile(positive, quantile), 1))
+            mechanism = KStarTM(epsilon=1.0, threshold_quantile=quantile)
+            assert mechanism._pick_threshold(small_graph) == expected
+        assert KStarTM(epsilon=1.0, threshold=7)._pick_threshold(small_graph) == 7
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_answer_matches_per_node_counts_of_truncated_degrees(self, small_graph, k):
+        """The C(d, k) table prices truncated degrees exactly as
+        per_node_star_counts does, so the answer is the same float."""
+        query = KStarQuery(k=k, low=3, high=small_graph.num_nodes - 5)
+        mechanism = KStarTM(epsilon=0.5)
+        threshold = mechanism._pick_threshold(small_graph)
+        beta = mechanism.epsilon / (2.0 * (mechanism.gamma + 1.0))
+        smooth = smooth_sensitivity_truncated_kstar(threshold, k, beta)
+        for seed in range(5):
+            generator = np.random.default_rng(seed)
+            degrees = small_graph.truncated_degree_sequence(threshold, rng=generator)
+            counts = per_node_star_counts(degrees, k)
+            expected = float(counts[query.low : query.high + 1].sum()) + cauchy_noise(
+                smooth, mechanism.epsilon, gamma=mechanism.gamma, rng=generator
+            )
+            answer = mechanism.answer_value(small_graph, query, rng=np.random.default_rng(seed))
+            assert answer == expected
 
 
 class TestComparativeBehaviour:

@@ -24,8 +24,17 @@ from repro.db.query import AggregateKind, Measure, StarJoinQuery
 from repro.core.workload import WorkloadAttribute, build_data_cube, contract_cube
 from repro.datagen.ssb import ssb_schema
 from repro.datagen.tpch import snowflake_schema
+from repro.graph import edge_table
+from repro.graph.dp_kstar import KStarTM
 from repro.graph.edge_table import Graph
-from repro.graph.kstar import KStarQuery, kstar_count, per_node_star_counts
+from repro.graph.generators import powerlaw_graph
+from repro.graph.kstar import (
+    KStarQuery,
+    kstar_count,
+    per_node_star_counts,
+    star_count_prefix,
+    star_count_table,
+)
 from repro.workloads.ssb_queries import all_ssb_queries, ssb_query
 
 
@@ -419,6 +428,24 @@ def _sequential_truncation_keep(edges, num_nodes, threshold, order):
     return keep
 
 
+def _assert_truncation_matches_sequential(graph, threshold, order_seed):
+    order = np.random.default_rng(order_seed).permutation(graph.num_edges)
+    expected_keep = _sequential_truncation_keep(graph.edges, graph.num_nodes, threshold, order)
+    truncated = graph.truncate_degrees(threshold, rng=np.random.default_rng(order_seed))
+    assert np.array_equal(truncated.edges, graph.edges[expected_keep])
+    degrees = graph.truncated_degree_sequence(threshold, rng=np.random.default_rng(order_seed))
+    expected_degrees = np.bincount(graph.edges[expected_keep].ravel(), minlength=graph.num_nodes)
+    assert np.array_equal(degrees, expected_degrees)
+    assert np.array_equal(truncated.degrees(), expected_degrees)
+
+
+def _heavy_tailed_graph(seed):
+    """2,000 nodes and ~11,500 edges; at the TM threshold 20 hubs (degree > τ)
+    share ~3,000 edges, 100-plus of them joining two hubs, and at τ/4 about
+    200 hubs share ~7,500."""
+    return powerlaw_graph(num_nodes=2_000, num_edges=12_000, rng=seed)
+
+
 class TestTruncationEquivalence:
     def test_matches_sequential_rule_on_random_graphs(self):
         rng = np.random.default_rng(321)
@@ -457,3 +484,56 @@ class TestTruncationEquivalence:
             for low, high in ((0, small_graph.num_nodes - 1), (5, 40), (17, 17)):
                 direct = float(counts[low : high + 1].sum())
                 assert kstar_count(small_graph, KStarQuery(k=k, low=low, high=high)) == direct
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("divisor", [1, 4], ids=["tm_tau", "quarter_tau"])
+    def test_matches_sequential_rule_on_heavy_tailed_graphs(self, seed, divisor):
+        graph = _heavy_tailed_graph(seed)
+        threshold = max(KStarTM(epsilon=1.0)._pick_threshold(graph) // divisor, 1)
+        assert graph.max_degree() > 4 * threshold  # hubs really get truncated
+        _assert_truncation_matches_sequential(graph, threshold, order_seed=seed)
+
+    @pytest.mark.parametrize("max_rounds", [0, 1])
+    def test_sequential_fallback_matches_sequential_rule(self, monkeypatch, max_rounds):
+        # With no vectorized round the fallback decides every edge joining two
+        # hubs; with one it decides every such edge the first round leaves open.
+        monkeypatch.setattr(edge_table, "_TRUNCATION_MAX_ROUNDS", max_rounds)
+        for seed in (5, 17):
+            graph = _heavy_tailed_graph(seed)
+            tm_threshold = KStarTM(epsilon=1.0)._pick_threshold(graph)
+            for threshold in (tm_threshold, max(tm_threshold // 4, 1)):
+                _assert_truncation_matches_sequential(graph, threshold, order_seed=seed + threshold)
+
+
+#: Every array a Graph caches (or hands out from a cache), by name.
+_GRAPH_CACHED_ARRAYS = {
+    "edges": lambda graph: graph.edges,
+    "degrees": lambda graph: graph.degrees(),
+    "star_count_prefix": lambda graph: star_count_prefix(graph, 2),
+    "star_count_table": lambda graph: star_count_table(5, 2),
+    "plan.safe_degrees": lambda graph: graph._truncation_plans[5].safe_degrees,
+    "plan.hub_index": lambda graph: graph._truncation_plans[5].hub_index,
+    "plan.edge_hub": lambda graph: graph._truncation_plans[5].edge_hub,
+    "truncated.edges": lambda graph: graph.truncate_degrees(5).edges,
+    "truncated.degrees": lambda graph: graph.truncate_degrees(5).degrees(),
+}
+
+
+class TestGraphCachesAreReadOnly:
+    @pytest.mark.parametrize("name", sorted(_GRAPH_CACHED_ARRAYS))
+    def test_in_place_write_raises(self, name):
+        graph = _heavy_tailed_graph(7)
+        graph.truncated_degree_sequence(5, rng=np.random.default_rng(0))
+        array = _GRAPH_CACHED_ARRAYS[name](graph)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
+
+    def test_plan_is_built_once_per_threshold(self):
+        graph = _heavy_tailed_graph(7)
+        first = graph.truncated_degree_sequence(6, rng=np.random.default_rng(1))
+        plan = graph._truncation_plans[6]
+        again = graph.truncated_degree_sequence(6, rng=np.random.default_rng(1))
+        assert graph._truncation_plans[6] is plan
+        assert np.array_equal(first, again)
+        graph.truncated_degree_sequence(3, rng=np.random.default_rng(1))
+        assert sorted(graph._truncation_plans) == [3, 6]

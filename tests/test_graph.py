@@ -37,6 +37,18 @@ class TestGraph:
         graph = Graph.from_edge_list([(0, 1), (1, 0), (2, 2), (1, 2)], num_nodes=3)
         assert graph.num_edges == 2
 
+    def test_canonicalisation_matches_row_unique(self):
+        # Reference: the row-sorting np.unique(axis=0) over (min, max) pairs.
+        rng = np.random.default_rng(8)
+        for _ in range(150):
+            num_nodes = int(rng.integers(1, 60))
+            raw = rng.integers(0, num_nodes, size=(int(rng.integers(0, 300)), 2))
+            low, high = raw.min(axis=1), raw.max(axis=1)
+            expected = np.unique(np.stack([low, high], axis=1)[low != high], axis=0)
+            edges = Graph(num_nodes, raw).edges
+            assert edges.dtype == np.int64 and edges.shape == expected.shape
+            assert np.array_equal(edges, expected)
+
     def test_invalid_edges_rejected(self):
         with pytest.raises(DataGenerationError):
             Graph(num_nodes=2, edges=np.array([[0, 5]]))
