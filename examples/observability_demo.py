@@ -1,8 +1,9 @@
 """Demo (and CI smoke test) of the observability subsystem.
 
 Serves a small grid of queries twice — once untraced, once with request
-tracing and a slow-query log switched on — and asserts the contracts
-docs/OBSERVABILITY.md promises:
+tracing and a slow-query log switched on, each pass from an empty cache so
+that neither is answered from the other's memo of released answers — and
+asserts the contracts docs/OBSERVABILITY.md promises:
 
 * every served answer is byte-identical with telemetry on and off;
 * one traced request produces one connected JSONL trace whose spans cover
@@ -27,6 +28,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from repro.db.cache import LocalCacheBackend, backend_scope
 from repro.dp.accountant import PrivacyBudget
 from repro.obs import summarize
 from repro.obs.slowlog import SlowQueryLog
@@ -75,14 +77,15 @@ def main() -> int:
         trace_path = Path(tmp) / "trace.jsonl"
         slow_path = Path(tmp) / "slow.jsonl"
 
-        untraced, _ = serve_grid(planner)
+        with backend_scope(LocalCacheBackend()):
+            untraced, _ = serve_grid(planner)
         print(f"served {len(untraced)} untraced request(s)")
 
         # Same grid again with tracing and the slow-query log on (threshold
         # 0 ms: every request records, so the log's stage breakdown is
         # exercised deterministically).
         slow_log = SlowQueryLog(str(slow_path), threshold_ms=0.0)
-        with trace_scope(str(trace_path)):
+        with backend_scope(LocalCacheBackend()), trace_scope(str(trace_path)):
             traced, telemetry = serve_grid(planner, slow_query_log=slow_log)
 
         # 1. Telemetry never changes an answer.

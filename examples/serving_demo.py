@@ -4,8 +4,10 @@ Starts a server on an ephemeral port, registers a small SSB instance over the
 wire, runs an analyst session — named query, SQL query, GROUP BY with
 parallel composition — until the per-analyst ε budget is exhausted, and
 asserts that the ledger's refusal arrives as a structured
-``budget_exhausted`` error.  Exits non-zero if any step misbehaves, which is
-what lets CI use it as the serving round-trip smoke.
+``budget_exhausted`` error.  Repeats are answered from the server's memo of
+released answers: identical bytes, still charged.  Exits non-zero if any
+step misbehaves, which is what lets CI use it as the serving round-trip
+smoke.
 
 Run with::
 
@@ -49,7 +51,8 @@ def main() -> int:
             )
 
             # The same semantics as SQL text: identical seed stream, so the
-            # answer is byte-identical to the named form at equal ε.
+            # answer is byte-identical to the named form at equal ε — served
+            # from the memo of released answers, under the SQL spelling.
             sql_result = client.query(
                 "demo",
                 "PM",
@@ -58,7 +61,14 @@ def main() -> int:
                 analyst="alice",
             )
             assert sql_result["answer"] == result["answer"], "determinism broken"
-            print(f"same query as SQL: answer {sql_result['answer']:.1f} (identical)")
+            assert sql_result["answers"] == result["answers"], "determinism broken"
+            assert sql_result["query"] == "sql", sql_result["query"]
+            memo = client.stats()["planner"]["memo"]
+            assert memo["hits"] == 1, memo
+            print(
+                f"same query as SQL: answer {sql_result['answer']:.1f} "
+                f"(identical; memo {memo['hits']} hit, {memo['misses']} miss)"
+            )
 
             # GROUP BY runs on disjoint partitions: parallel composition,
             # the whole grouped answer costs ε once.
@@ -90,6 +100,15 @@ def main() -> int:
             assert abs(budget["spent_epsilon"] - 1.0) < 1e-9
             print(f"alice's ledger: {budget['charges']} charges, "
                   f"eps {budget['spent_epsilon']:.2f}/{budget['total_epsilon']:.2f}")
+
+            # A repeated request returns the released bytes again, and the
+            # ledger charges it again.
+            first = client.query("demo", "R2T", 0.3, query="Qs2", analyst="bob")
+            repeat = client.query("demo", "R2T", 0.3, query="Qs2", analyst="bob")
+            assert repeat["answers"] == first["answers"], "repeat changed the answer"
+            spent = client.budget("bob")["spent_epsilon"]
+            assert abs(spent - 0.6) < 1e-9, spent
+            print(f"bob repeated a query: identical answers, eps {spent:.2f} charged")
 
             client.shutdown()
     print("serving demo OK")

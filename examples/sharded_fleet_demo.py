@@ -8,11 +8,16 @@ The full topology of docs/SERVING.md's "Sharded fleet" section, end to end
    both shards), one fleet router process fronting the serving shards.
 2. **Routed answers are the shard's answers** — the same queries through
    the router and directly against each analyst's home shard are
-   byte-identical, and repeats are deterministic.
+   byte-identical to an in-process planner with the same seed, and repeats
+   are deterministic.
 3. **Kill a cache shard mid-run** — answers do not move (replica reads and
    recompute absorb the loss), the survivors' breakers trip and are visible
    through the router's aggregated health; restart the shard on the same
    port and the breaker-recovery trace shows the probe closing it again.
+   Each phase asks at ε values no earlier phase asked, and after the kill
+   every analyst asks at its own ε: a repeat would be answered from the
+   serving shard's memo of released answers and never reach the cache
+   shards.
 
 Usage::
 
@@ -28,7 +33,10 @@ import sys
 import time
 
 from repro.db.cache.server import CacheServerThread
-from repro.serving import ServingClient
+from repro.serving import QueryPlanner, ServingClient
+
+#: The serving shards' master noise seed (``--seed``).
+SEED = 20230711
 
 DEMO_SPEC = {
     "name": "demo",
@@ -41,6 +49,14 @@ DEMO_SPEC = {
 QUERIES = ("Qc1", "Qs2", "Qc3")
 ANALYSTS = ("alice", "bob", "carol", "dave")
 
+#: The ε of each phase's first query (the next queries add 0.1 each).
+ROUTED, AFTER_KILL, RECOVERED = 0.1, 0.15, 0.12
+#: After the kill, analyst i starts at the phase's ε + i × this step.  With
+#: one ε for all, only a serving shard's first analyst executes (the rest
+#: are memo hits), and those few executions do not always reach the
+#: restarted cache shard, so its breaker may never be probed.
+ANALYST_STEP = 0.005
+
 
 def _spawn_serving_shard(cache_urls: str) -> tuple[subprocess.Popen, int]:
     """One serving shard on an ephemeral port, caching through the shard list."""
@@ -52,6 +68,8 @@ def _spawn_serving_shard(cache_urls: str) -> tuple[subprocess.Popen, int]:
             "repro.serving",
             "--port",
             "0",
+            "--seed",
+            str(SEED),
             "--workers",
             "2",
             "--analyst-epsilon",
@@ -105,19 +123,45 @@ def _await_banner(process: subprocess.Popen, prefix: str) -> int:
     raise RuntimeError(f"process did not print {prefix!r} within 120s")
 
 
-def _query_answers(port: int, analyst: str) -> dict[str, str]:
+def _epsilons(first: float) -> list[float]:
+    return [round(first + 0.1 * index, 3) for index in range(len(QUERIES))]
+
+
+def _per_analyst(first: float) -> dict[str, float]:
+    return {
+        analyst: round(first + ANALYST_STEP * index, 3)
+        for index, analyst in enumerate(ANALYSTS)
+    }
+
+
+def _query_answers(port: int, analyst: str, first_epsilon: float) -> dict[str, str]:
     """One answer blob per named query, for byte comparison."""
     answers = {}
     with ServingClient(port=port) as client:
-        for index, query in enumerate(QUERIES):
-            payload = client.query(
-                "demo", "PM", round(0.1 + 0.1 * index, 2), query=query, analyst=analyst
-            )
+        for query, epsilon in zip(QUERIES, _epsilons(first_epsilon)):
+            payload = client.query("demo", "PM", epsilon, query=query, analyst=analyst)
             answers[query] = json.dumps(payload["answers"])
     return answers
 
 
+def _reference_planner() -> QueryPlanner:
+    """An in-process planner with the shards' seed: no fleet, no cache shards."""
+    planner = QueryPlanner(seed=SEED)
+    spec = dict(DEMO_SPEC)
+    planner.register(spec.pop("name"), spec.pop("kind"), **spec)
+    return planner
+
+
+def _reference_answers(planner: QueryPlanner, first_epsilon: float) -> dict[str, str]:
+    answers = {}
+    for query, epsilon in zip(QUERIES, _epsilons(first_epsilon)):
+        request = {"database": "demo", "mechanism": "PM", "epsilon": epsilon, "query": query}
+        answers[query] = json.dumps(planner.execute(planner.plan(request))["answers"])
+    return answers
+
+
 def main() -> int:
+    planner = _reference_planner()
     cache_a = CacheServerThread(max_entries=4096).start()
     cache_b = CacheServerThread(max_entries=4096).start()
     cache_urls = f"127.0.0.1:{cache_a.server.port},127.0.0.1:{cache_b.server.port}"
@@ -137,15 +181,19 @@ def main() -> int:
                 return 1
 
         # --- routed answers == each home shard's own answers -------------
-        routed = {analyst: _query_answers(router_port, analyst) for analyst in ANALYSTS}
-        again = {analyst: _query_answers(router_port, analyst) for analyst in ANALYSTS}
+        routed = {
+            analyst: _query_answers(router_port, analyst, ROUTED) for analyst in ANALYSTS
+        }
+        again = {
+            analyst: _query_answers(router_port, analyst, ROUTED) for analyst in ANALYSTS
+        }
         if routed != again:
             print("repeat queries through the router changed bytes", file=sys.stderr)
             return 1
         direct = {}
         for shard_port in (port_1, port_2):
             for analyst in ANALYSTS:
-                direct[analyst] = _query_answers(shard_port, analyst)
+                direct[analyst] = _query_answers(shard_port, analyst, ROUTED)
                 break  # answers are analyst-independent; one shard suffices
             break
         for analyst in ANALYSTS:
@@ -155,20 +203,29 @@ def main() -> int:
         if routed[ANALYSTS[0]] != direct[ANALYSTS[0]]:
             print("routed answers differ from a direct shard's", file=sys.stderr)
             return 1
+        if routed[ANALYSTS[0]] != _reference_answers(planner, ROUTED):
+            print("routed answers differ from an in-process planner's", file=sys.stderr)
+            return 1
         with ServingClient(port=router_port) as client:
             per_shard = client.stats()["router"]["routed_per_shard"]
         print(
-            f"[2/3] parity: routed == direct == repeat for {len(ANALYSTS)} analysts "
+            f"[2/3] parity: routed == direct == repeat == in-process for "
+            f"{len(ANALYSTS)} analysts "
             f"x {len(QUERIES)} queries (routed per shard: {per_shard})"
         )
 
         # --- kill one cache shard mid-run ---------------------------------
         dead_port = cache_a.server.port
         cache_a.stop()
+        firsts = _per_analyst(AFTER_KILL)
         after_kill = {
-            analyst: _query_answers(router_port, analyst) for analyst in ANALYSTS
+            analyst: _query_answers(router_port, analyst, first)
+            for analyst, first in firsts.items()
         }
-        if after_kill != routed:
+        if any(
+            after_kill[analyst] != _reference_answers(planner, first)
+            for analyst, first in firsts.items()
+        ):
             print("answers moved after a cache shard died", file=sys.stderr)
             return 1
         with ServingClient(port=router_port) as client:
@@ -184,10 +241,15 @@ def main() -> int:
         # Restart the cache shard on the same port; the breakers probe back.
         cache_a = CacheServerThread(port=dead_port, max_entries=4096).start()
         time.sleep(2.2)  # past the default breaker_reset_timeout (2s)
+        firsts = _per_analyst(RECOVERED)
         recovered = {
-            analyst: _query_answers(router_port, analyst) for analyst in ANALYSTS
+            analyst: _query_answers(router_port, analyst, first)
+            for analyst, first in firsts.items()
         }
-        if recovered != routed:
+        if any(
+            recovered[analyst] != _reference_answers(planner, first)
+            for analyst, first in firsts.items()
+        ):
             print("answers moved after the cache shard came back", file=sys.stderr)
             return 1
         with ServingClient(port=router_port) as client:

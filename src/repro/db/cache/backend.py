@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_EVICTION_POLICY",
     "EVICTION_POLICIES",
     "REGIONS",
+    "REGION_MAX_BYTES",
     "SHARED_REGIONS",
     "telemetry_from_stats",
     "value_nbytes",
@@ -62,6 +63,7 @@ REGIONS: dict[str, str] = {
     "sorted_contribution": "sorted contributions + exclusive prefix sums",
     "cube": "bincount-built data cube over workload attributes",
     "result": "memoized exact query answer",
+    "release": "a served request's released payload (the query planner's memo)",
 }
 
 #: Regions kept behind a bounded LRU (noisy one-off keys must not grow the
@@ -69,13 +71,30 @@ REGIONS: dict[str, str] = {
 #: small, per-database statistics and stays unbounded, exactly as the
 #: pre-refactor per-engine dicts did.
 BOUNDED_REGIONS: frozenset[str] = frozenset(
-    {"predicate_mask", "selection_mask", "contribution", "sorted_contribution", "result"}
+    {
+        "predicate_mask",
+        "selection_mask",
+        "contribution",
+        "sorted_contribution",
+        "result",
+        "release",
+    }
 )
+
+#: Fixed byte caps of single bounded regions, applied in every in-process
+#: store on top of (never above) the backend's own ``max_bytes``.  A released
+#: payload's size is the client's choice — GROUP BY cardinality × trials — so
+#: the planner's memo is bounded by bytes even when no ``--cache-max-bytes``
+#: is set, and a payload larger than the whole cap is not retained at all.
+REGION_MAX_BYTES: dict[str, int] = {"release": 1 << 20}
 
 #: Regions the remote backend writes through to its cross-process tier: the
 #: artefacts that are expensive to recompute and cheap(er) to ship than to
 #: rebuild.  Predicate masks and measure arrays are deliberately excluded —
 #: they are either subsumed by selection masks or recomputed in microseconds.
+#: Released payloads stay in each process's L1: the planner looks one up
+#: before every star-join execution, and that lookup must never add a wire
+#: round trip to a request.
 SHARED_REGIONS: frozenset[str] = frozenset(
     {"selection_mask", "contribution", "sorted_contribution", "cube", "result"}
 )

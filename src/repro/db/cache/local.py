@@ -28,6 +28,7 @@ from repro.db.cache.backend import (
     BOUNDED_REGIONS,
     DEFAULT_EVICTION_POLICY,
     EVICTION_POLICIES,
+    REGION_MAX_BYTES,
     CacheStats,
     telemetry_from_stats,
     value_nbytes,
@@ -215,7 +216,8 @@ class LocalCacheBackend:
         self.max_namespaces = int(max_namespaces)
         self.policy = policy
         #: Optional byte budget of each bounded (namespace, region) store,
-        #: mirroring how ``max_entries`` bounds each store individually.
+        #: mirroring how ``max_entries`` bounds each store individually; a
+        #: region in ``REGION_MAX_BYTES`` never gets more than its cap.
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         #: namespace -> region -> store, insertion-ordered by recency of use.
         self._namespaces: dict[str, dict[str, Union[UtilityCache, dict]]] = {}
@@ -239,7 +241,11 @@ class LocalCacheBackend:
         store = regions.get(region)
         if store is None:
             if region in BOUNDED_REGIONS:
-                store = UtilityCache(self.max_entries, self.max_bytes, self.policy)
+                max_bytes = self.max_bytes
+                cap = REGION_MAX_BYTES.get(region)
+                if cap is not None and (max_bytes is None or cap < max_bytes):
+                    max_bytes = cap
+                store = UtilityCache(self.max_entries, max_bytes, self.policy)
             else:
                 store = {}
             regions[region] = store

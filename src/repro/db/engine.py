@@ -15,7 +15,8 @@ serves, per database instance,
 * per-key contribution vectors together with their sorted/prefix-summed form,
   so truncation mechanisms can evaluate every candidate threshold in
   ``O(log n)`` instead of re-scanning the selection;
-* memoized exact query answers and data cubes.
+* memoized exact query answers and data cubes;
+* the query planner's memo of released answers (``release``).
 
 The engine owns no cache storage.  Every artefact above is read and written
 through a :class:`~repro.db.cache.CacheBackend` (see :mod:`repro.db.cache`
@@ -200,7 +201,18 @@ class ExecutionEngine:
         return value
 
     def _put(self, region: str, key: Hashable, value: Any, cost: Optional[float] = None) -> None:
-        """Store an artefact, with the wall-clock its computation took.
+        """Store a kernel artefact, with the wall-clock its computation took.
+
+        The measured recompute cost doubles as a ready-made trace span: when
+        a request is being traced, each kernel computation shows up as
+        ``engine.<region>`` without any extra clock reads.
+        """
+        if cost is not None:
+            record_timed(f"engine.{region}", cost, region=region)
+        self._store(region, key, value, cost)
+
+    def _store(self, region: str, key: Hashable, value: Any, cost: Optional[float]) -> None:
+        """Write through to the backend.
 
         The cost is eviction-steering metadata only — a backend that predates
         the cost channel (or a test double) is fed through the old four-arg
@@ -210,10 +222,6 @@ class ExecutionEngine:
         if cost is None:
             self.backend.put(self._namespace, region, key, value)
             return
-        # The measured recompute cost doubles as a ready-made trace span:
-        # when a request is being traced, each kernel computation shows up
-        # as `engine.<region>` without any extra clock reads.
-        record_timed(f"engine.{region}", cost, region=region)
         try:
             self.backend.put(self._namespace, region, key, value, cost)
         except TypeError:
@@ -643,6 +651,26 @@ class ExecutionEngine:
         fingerprint = query_fingerprint(query)
         if fingerprint is not None:
             self._put("result", fingerprint, result, cost)
+
+    # ------------------------------------------------------------------
+    # released answers (the query planner's memo)
+    # ------------------------------------------------------------------
+    def cached_release(self, key: Hashable) -> Optional[dict]:
+        """A memoized served payload, or ``None``.
+
+        ``key`` is the request's full determinism coordinate (see
+        :meth:`repro.serving.planner.QueryPlanner.execute`); the namespace
+        adds the database content, so a mutated database misses.
+        """
+        return self._get("release", key)
+
+    def store_release(self, key: Hashable, payload: dict, cost: float) -> None:
+        """Memoize a served payload; ``cost`` is the time its trials took.
+
+        Unlike a kernel's, the cost is not recorded as a span: the serving
+        layer's own ``serve.execute`` span already covers that time.
+        """
+        self._store("release", key, payload, cost)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

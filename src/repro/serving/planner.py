@@ -23,6 +23,24 @@ local and the remote cache backend alike.  Because the label ignores *who*
 asks and *when*, concurrent identical requests are also identical
 computations, which is what makes single-flight coalescing
 (:mod:`repro.serving.singleflight`) safe.
+
+Released-answer memo
+--------------------
+For the same reason a repeat *across time* may reuse the bytes already
+released: a star-join execution's payload is stored in the engine's bounded
+``release`` cache region, keyed by the full determinism coordinate — the
+master seed, :attr:`PlannedQuery.key` and the database's privacy scenario —
+inside the database's content namespace, so planners differing in seed or
+private dimensions never share an entry and a mutated database misses.  The
+region is in-process only (never written to a cache server), bounded by
+the backend's ``--cache-size`` / ``--cache-max-bytes`` / ``--cache-policy``
+and by a fixed byte cap (``REGION_MAX_BYTES``): a client sizes a payload
+through GROUP BY cardinality × trials, and one larger than the cap is served
+but not kept.  Only successful executions are stored: refusals and failures
+run again.
+The ledger is unaffected — every request is still admitted and charged,
+memo hit or not.  k-star requests have no engine namespace and always
+execute.
 """
 
 from __future__ import annotations
@@ -224,6 +242,9 @@ class QueryPlanner:
         self._databases: dict[str, RegisteredDatabase] = {}
         self._lock = threading.Lock()
         self.singleflight = SingleFlight()
+        #: Released-answer memo lookups (star-join executions only).
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -481,35 +502,55 @@ class QueryPlanner:
     # execution
     # ------------------------------------------------------------------
     def execute(self, planned: PlannedQuery) -> dict:
-        """Execute a plan (single-flighted) and return the result payload.
+        """Execute a plan (single-flighted, memoized) and return its payload.
 
-        Concurrent identical plans share one engine execution; each caller
-        gets its own payload dict with ``coalesced`` flagging whether the
-        answer came from another caller's in-flight execution.
+        Concurrent identical plans share one execution, and a repeat of a
+        released star-join answer is served from the memo (module
+        docstring).  Each caller gets its own payload dict naming its own
+        query spelling, with ``coalesced`` flagging whether the answer came
+        from another caller's in-flight execution.  Nested values are shared
+        with the memo and must be treated as read-only.
         """
         base, shared = self.singleflight.do(planned.key, lambda: self._execute(planned))
         payload = dict(base)
+        # The shared payload names the spelling of whoever executed it.
+        payload["query"] = planned.query_name
         payload["coalesced"] = shared
         return payload
 
     def _execute(self, planned: PlannedQuery) -> dict:
-        stream = request_stream(
-            self.seed,
-            planned.entry.name,
-            planned.mechanism,
-            planned.query_label,
-            planned.epsilon,
-            planned.trials,
-        )
-        # One span per *engine execution*: coalesced callers share it (their
-        # payloads flag `coalesced`), so traced time is never double-counted.
+        database = planned.entry.database
+        engine = None if planned.entry.is_graph else ExecutionEngine.for_database(database)
+        memo_key = (self.seed, planned.key, planned.entry.scenario)
+        # One span per execution or memo hit: coalesced callers share it
+        # (their payloads flag `coalesced`), so traced time is never
+        # double-counted.
         with span(
             "serve.execute",
             database=planned.entry.name,
             mechanism=planned.mechanism,
             query=str(planned.query_name),
             trials=planned.trials,
-        ):
+        ) as current:
+            if engine is not None:
+                released = engine.cached_release(memo_key)
+                with self._lock:
+                    if released is None:
+                        self.memo_misses += 1
+                    else:
+                        self.memo_hits += 1
+                if current is not None:
+                    current.set(memo_hit=released is not None)
+                if released is not None:
+                    return released
+            stream = request_stream(
+                self.seed,
+                planned.entry.name,
+                planned.mechanism,
+                planned.query_label,
+                planned.epsilon,
+                planned.trials,
+            )
             try:
                 if planned.entry.is_graph:
                     result = self._execute_kstar(planned, stream)
@@ -528,7 +569,7 @@ class QueryPlanner:
                 query=planned.query_name,
             )
         answers = [serialize_answer(answer) for answer in result.answers]
-        return {
+        payload = {
             "database": planned.entry.name,
             "mechanism": planned.mechanism,
             "query": planned.query_name,
@@ -543,6 +584,10 @@ class QueryPlanner:
             "median_relative_error": result.median_relative_error,
             "mean_time_s": result.mean_time,
         }
+        if engine is not None:
+            # The trials' measured time is the cost a later miss would pay.
+            engine.store_release(memo_key, payload, result.mean_time * planned.trials)
+        return payload
 
     def _execute_star(
         self, planned: PlannedQuery, stream: np.random.SeedSequence
@@ -584,4 +629,5 @@ class QueryPlanner:
     def stats(self) -> dict:
         with self._lock:
             names = sorted(self._databases)
-        return {"databases": names, "singleflight": self.singleflight.stats()}
+            memo = {"hits": self.memo_hits, "misses": self.memo_misses}
+        return {"databases": names, "singleflight": self.singleflight.stats(), "memo": memo}

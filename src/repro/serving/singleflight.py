@@ -7,6 +7,8 @@ label (see :mod:`repro.serving.planner`), so every concurrent duplicate would
 compute byte-identical results anyway.  :class:`SingleFlight` makes the
 leader execute while the duplicates wait on its result, which turns a
 thundering herd of identical dashboard refreshes into one engine execution.
+(A refresh arriving after the flight lands is answered by the planner's memo
+of released answers instead.)
 
 This is the thread-based analogue of Go's ``singleflight`` package: the
 asyncio server runs engine work on a thread pool, so coalescing lives at the
@@ -48,8 +50,9 @@ class SingleFlight:
         The first caller for a key (the leader) executes ``fn``; callers
         arriving while that execution is in flight wait and receive the same
         result (``shared=True``).  Once a flight lands the key is free again —
-        coalescing is about *concurrency*, result reuse across time is the
-        cache layer's job.
+        coalescing is about *concurrency*; the query planner reuses results
+        across time through its memo of released answers, the engine's
+        ``release`` cache region (:mod:`repro.serving.planner`).
         """
         with self._lock:
             flight = self._flights.get(key)

@@ -45,7 +45,7 @@ from repro.db.cache import (
     make_backend,
     set_active_backend,
 )
-from repro.db.cache.backend import value_nbytes
+from repro.db.cache.backend import REGION_MAX_BYTES, value_nbytes
 from repro.db.cache.local import UtilityCache
 from repro.db.cache.server import CacheServerThread
 from repro.db.engine import ExecutionEngine
@@ -693,6 +693,23 @@ class TestCostAwareLocalBackend:
         for index in range(10):
             backend.put("ns", LOCAL_BOUNDED_REGION, index, np.zeros(8))
         assert 0 < backend.byte_count("ns") <= 256
+
+    def test_region_byte_cap_holds_without_a_budget_and_below_one(self):
+        """A region in REGION_MAX_BYTES is byte-bounded even when the backend
+        has no byte budget, and never gets more than the backend's own."""
+        cap = REGION_MAX_BYTES["release"]
+        unbounded = LocalCacheBackend(max_entries=100)
+        oversized = np.zeros(cap + 1, dtype=np.uint8)
+        unbounded.put("ns", "release", "big", oversized)
+        unbounded.put("ns", "release", "small", np.zeros(8))
+        unbounded.put("ns", LOCAL_BOUNDED_REGION, "big", oversized)
+        assert unbounded.get("ns", "release", "big") is None
+        assert unbounded.get("ns", "release", "small") is not None
+        assert unbounded.get("ns", LOCAL_BOUNDED_REGION, "big") is not None
+        tighter = LocalCacheBackend(max_entries=100, max_bytes=256)
+        for index in range(10):
+            tighter.put("ns", "release", index, np.zeros(8))
+        assert 0 < tighter.byte_count("ns") <= 256
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

@@ -1165,6 +1165,10 @@ class TestShardedBackendUnderChaos:
                             # The network heals; the breaker probes back.
                             proxy.set_faults()
                             time.sleep(0.25)  # past breaker_reset_timeout
+                            # Cold again, or the release memo in L1 would
+                            # answer without probing the healed shard.
+                            for shard in backend.shards:
+                                shard._local.clear()
                             after = planner.execute(planner.plan(request))
                         assert proxy.stats()["chunks_seen"] > 0
                         assert backend.degraded is False

@@ -403,7 +403,9 @@ class TestTelemetryConformance:
 class TestEndToEndTraces:
     def test_served_request_yields_connected_trace(self, planner, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with trace_scope(str(path)):
+        # A fresh backend: an earlier test may have released this answer
+        # into the active backend's memo, and a memo hit runs no trials.
+        with backend_scope(LocalCacheBackend()), trace_scope(str(path)):
             server = QueryServer(
                 planner, BudgetLedger(PrivacyBudget(5.0)), port=0, workers=2
             )
@@ -420,6 +422,28 @@ class TestEndToEndTraces:
         assert root["outcome"] == "ok"
         assert root["analyst"] == "alice"
         assert "serve.execute" in root["stages"]
+
+    def test_memo_hit_executes_no_trials(self, planner, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with backend_scope(LocalCacheBackend()), trace_scope(str(path)):
+            server = QueryServer(
+                planner, BudgetLedger(PrivacyBudget(5.0)), port=0, workers=2
+            )
+            with ServerThread(server):
+                with ServingClient(port=server.port) as client:
+                    cold = client.query("demo", "PM", 0.3, query="Qc1", analyst="bob")
+                    hit = client.query("demo", "PM", 0.3, query="Qc1", analyst="bob")
+        assert hit["answers"] == cold["answers"]
+        spans = summarize.load_spans(str(path))
+        executes = sorted(
+            (r for r in spans if r["name"] == "serve.execute"), key=lambda r: r["start_s"]
+        )
+        assert [r["memo_hit"] for r in executes] == [False, True]
+        trial_parents = {r["parent_id"] for r in spans if r["name"] == "mechanism.trials"}
+        assert executes[0]["span_id"] in trial_parents
+        assert executes[1]["span_id"] not in trial_parents
+        assert "mechanism.trials" not in executes[1].get("stages", {})
+        assert summarize.orphan_spans(spans) == []
 
     def test_remote_cache_round_trip_joins_the_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -476,18 +500,24 @@ class TestEndToEndTraces:
 
     def test_tracing_does_not_change_answers(self, planner, tmp_path):
         def serve_one(analyst):
-            server = QueryServer(
-                planner, BudgetLedger(PrivacyBudget(5.0)), port=0, workers=2
-            )
-            with ServerThread(server):
-                with ServingClient(port=server.port) as client:
-                    return client.query(
-                        "demo", "PM", 0.3, query="Qc1", trials=3, analyst=analyst
-                    )
+            # A fresh backend per pass: on a shared one the second pass
+            # would be a memo hit returning the first pass's bytes.
+            with backend_scope(LocalCacheBackend()):
+                server = QueryServer(
+                    planner, BudgetLedger(PrivacyBudget(5.0)), port=0, workers=2
+                )
+                with ServerThread(server):
+                    with ServingClient(port=server.port) as client:
+                        return client.query(
+                            "demo", "PM", 0.3, query="Qc1", trials=3, analyst=analyst
+                        )
 
         untraced = serve_one("alice")
-        with trace_scope(str(tmp_path / "trace.jsonl")):
+        path = tmp_path / "trace.jsonl"
+        with trace_scope(str(path)):
             traced = serve_one("alice")
+        spans = summarize.load_spans(str(path))
+        assert any(record["name"] == "mechanism.trials" for record in spans)
         assert traced["answers"] == untraced["answers"]
         assert traced["answer"] == untraced["answer"]
 

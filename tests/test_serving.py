@@ -6,13 +6,17 @@ The contracts under test (see docs/SERVING.md):
   and refuses overspend with a structured ``budget_exhausted`` error;
 * served answers are byte-identical to the offline runner path under a fixed
   seed, for the local and the shared cache backend alike;
-* concurrent identical requests coalesce into one engine execution;
+* concurrent identical requests coalesce into one engine execution, and a
+  repeat across time is served from the planner's memo of released answers
+  — byte-identical, never shared across seeds or privacy scenarios, and
+  still charged;
 * the TCP server round-trips queries, budgets, refusals and refunds as
   structured JSON — never a traceback.
 """
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -23,9 +27,12 @@ from repro.db.cache import (
     RemoteCacheBackend,
     backend_scope,
 )
+from repro.db.cache.backend import REGION_MAX_BYTES, value_nbytes
+from repro.db.engine import ExecutionEngine
 from repro.db.executor import QueryExecutor
 from repro.dp.accountant import PrivacyBudget
 from repro.evaluation.runner import evaluate_mechanism, make_star_mechanism
+from repro.exceptions import QueryError
 from repro.serving import (
     BudgetLedger,
     QueryPlanner,
@@ -40,6 +47,9 @@ from repro.serving import (
 from repro.serving.protocol import decode_line, encode_message
 
 SEED = 424242
+
+#: Qc1 spelled as SQL: the same semantic key as the named query.
+QC1_SQL = "SELECT count(*) FROM Lineorder, Date WHERE Date.year = 1993"
 
 
 @pytest.fixture(scope="module")
@@ -527,6 +537,360 @@ class TestSingleFlight:
         assert sorted(p["coalesced"] for p in payloads) == [False] + [True] * 5
         answers = {json.dumps(p["answers"]) for p in payloads}
         assert len(answers) == 1  # every waiter saw the one execution's bytes
+
+
+# ----------------------------------------------------------------------
+# the memo of released answers
+# ----------------------------------------------------------------------
+#: The payload fields a memo hit may report differently from a cold run.
+VOLATILE_FIELDS = ("mean_time_s", "coalesced", "privacy")
+
+
+def _released_bytes(payload: dict) -> str:
+    return json.dumps({k: v for k, v in payload.items() if k not in VOLATILE_FIELDS})
+
+
+def _offline(planner, planned):
+    """The offline runner's result for a plan (``request_stream`` path)."""
+    entry = planned.entry
+    return evaluate_mechanism(
+        make_star_mechanism(planned.mechanism, planned.epsilon, scenario=entry.scenario),
+        entry.database,
+        planned.query,
+        trials=planned.trials,
+        rng=request_stream(
+            planner.seed,
+            entry.name,
+            planned.mechanism,
+            planned.query_label,
+            planned.epsilon,
+            planned.trials,
+        ),
+        exact_answer=QueryExecutor(entry.database).execute(planned.query),
+        record_answers=True,
+    )
+
+
+def _demo_planner(seed=SEED, **register):
+    planner = QueryPlanner(seed=seed)
+    planner.register(
+        "demo", "ssb", scale_factor=1.0, rows_per_scale_factor=2000, seed=5, **register
+    )
+    return planner
+
+
+@pytest.fixture()
+def fresh_backend():
+    """An empty active backend, so the first request of a test is cold."""
+    with backend_scope(LocalCacheBackend()) as backend:
+        yield backend
+
+
+class TestReleaseMemo:
+    @pytest.mark.parametrize(
+        "mechanism,query,trials", [("PM", "Qc1", 1), ("R2T", "Qs2", 3), ("PM", "Qg2", 2)]
+    )
+    def test_hit_is_byte_identical_to_cold_and_offline(
+        self, planner, fresh_backend, mechanism, query, trials
+    ):
+        planned = planner.plan(
+            {
+                "database": "demo",
+                "mechanism": mechanism,
+                "epsilon": 0.5,
+                "query": query,
+                "trials": trials,
+            }
+        )
+        hits_before = planner.memo_hits
+        cold = planner.execute(planned)
+        hit = planner.execute(planned)
+        assert planner.memo_hits - hits_before == 1
+        assert _released_bytes(hit) == _released_bytes(cold)
+        offline = _offline(planner, planned)
+        assert hit["answers"] == [serialize_answer(a) for a in offline.answers]
+        assert hit["answer"] == hit["answers"][0]
+        assert hit["mean_relative_error"] == offline.mean_relative_error
+        assert hit["median_relative_error"] == offline.median_relative_error
+
+    def test_cold_traced_execution_matches_untraced(self, planner, tmp_path):
+        """Tracing must not move the bytes of an execution.  A repeat on one
+        backend would be a memo hit, so each pass gets a fresh backend and
+        the traced pass provably runs its trials."""
+        from repro.obs import summarize
+        from repro.obs.trace import trace_scope
+
+        request = {
+            "database": "demo",
+            "mechanism": "PM",
+            "epsilon": 0.5,
+            "query": "Qc3",
+            "trials": 2,
+        }
+        with backend_scope(LocalCacheBackend()):
+            untraced = planner.execute(planner.plan(request))
+        path = tmp_path / "trace.jsonl"
+        misses_before = planner.memo_misses
+        with backend_scope(LocalCacheBackend()), trace_scope(str(path)):
+            traced = planner.execute(planner.plan(request))
+        assert planner.memo_misses - misses_before == 1
+        spans = summarize.load_spans(str(path))
+        assert any(record["name"] == "mechanism.trials" for record in spans)
+        assert json.dumps(traced["answers"]) == json.dumps(untraced["answers"])
+        assert traced["mean_relative_error"] == untraced["mean_relative_error"]
+
+    def test_cold_pass_over_cache_server_artefacts_matches_reference(self):
+        """A second serving process with an empty L1 misses the memo (it is
+        never written to the server) and executes on kernel artefacts the
+        first process left in the cache server: the bytes must not move."""
+        from repro.db.cache.server import CacheServerThread
+
+        request = TestRemoteCacheServerParity.REQUEST
+        with backend_scope(LocalCacheBackend(64)):
+            planner = _demo_planner()
+            reference = planner.execute(planner.plan(request))
+        served = []
+        with CacheServerThread(max_entries=2048) as handle:
+            for _ in range(2):
+                backend = RemoteCacheBackend(host="127.0.0.1", port=handle.server.port)
+                try:
+                    with backend_scope(backend):
+                        planner = _demo_planner()
+                        served.append(planner.execute(planner.plan(request)))
+                        assert (planner.memo_hits, planner.memo_misses) == (0, 1)
+                        shared_hits = backend.stats().shared_hits
+                finally:
+                    backend.close()
+        assert shared_hits > 0  # the second pass ran on the server's artefacts
+        assert (
+            json.dumps(reference["answers"])
+            == json.dumps(served[0]["answers"])
+            == json.dumps(served[1]["answers"])
+        )
+        assert reference["mean_relative_error"] == served[1]["mean_relative_error"]
+
+    def test_payload_over_the_byte_cap_is_not_retained(self, planner, fresh_backend):
+        """A client sizes a release (GROUP BY cardinality × trials); one over
+        the region's fixed byte cap is served but never kept, while a small
+        one in the same region still is."""
+        large = planner.plan(
+            {
+                "database": "demo",
+                "mechanism": "PM",
+                "epsilon": 0.5,
+                "trials": 50,
+                "sql": (
+                    "SELECT count(*) FROM Lineorder, Part, Customer "
+                    "GROUP BY Part.brand, Customer.city"
+                ),
+            }
+        )
+        small = planner.plan(
+            {"database": "demo", "mechanism": "PM", "epsilon": 0.5, "query": "Qc2"}
+        )
+        first = planner.execute(large)
+        assert value_nbytes(first) > REGION_MAX_BYTES["release"]
+        planner.execute(small)
+        hits_before, misses_before = planner.memo_hits, planner.memo_misses
+        again = planner.execute(large)
+        planner.execute(small)
+        assert planner.memo_misses - misses_before == 1
+        assert planner.memo_hits - hits_before == 1
+        assert again["answers"] == first["answers"]
+
+    def test_coalesced_caller_names_its_own_query(self, planner, monkeypatch):
+        """A SQL spelling coalesced behind the named form answers with the
+        same bytes but under its own name, exactly as when sent alone."""
+        named = planner.plan(
+            {"database": "demo", "mechanism": "PM", "epsilon": 0.8, "query": "Qc1"}
+        )
+        sql = planner.plan({"database": "demo", "mechanism": "PM", "epsilon": 0.8, "sql": QC1_SQL})
+        assert named.key == sql.key
+        coalesced_before = planner.singleflight.coalesced
+        entered, gate = threading.Event(), threading.Event()
+        original = planner._execute
+
+        def gated(plan):
+            entered.set()
+            gate.wait(timeout=10)
+            return original(plan)
+
+        monkeypatch.setattr(planner, "_execute", gated)
+        payloads = {}
+        leader = threading.Thread(
+            target=lambda: payloads.__setitem__("named", planner.execute(named))
+        )
+        follower = threading.Thread(
+            target=lambda: payloads.__setitem__("sql", planner.execute(sql))
+        )
+        leader.start()
+        assert entered.wait(timeout=10)
+        follower.start()
+        deadline = time.monotonic() + 10
+        while planner.singleflight.coalesced == coalesced_before:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.005)
+        gate.set()
+        leader.join(timeout=10)
+        follower.join(timeout=10)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert payloads["sql"]["coalesced"] is True
+        assert payloads["named"]["query"] == "Qc1"
+        assert payloads["sql"]["query"] == "sql"
+        assert payloads["sql"]["answers"] == payloads["named"]["answers"]
+
+    def test_hit_names_the_callers_spelling(self, planner, fresh_backend):
+        named = planner.execute(
+            planner.plan({"database": "demo", "mechanism": "PM", "epsilon": 0.7, "query": "Qc1"})
+        )
+        hits_before = planner.memo_hits
+        sql = planner.execute(
+            planner.plan({"database": "demo", "mechanism": "PM", "epsilon": 0.7, "sql": QC1_SQL})
+        )
+        assert planner.memo_hits - hits_before == 1
+        assert (named["query"], sql["query"]) == ("Qc1", "sql")
+        assert sql["answers"] == named["answers"]
+
+    def test_planners_differing_in_seed_never_share(self, fresh_backend):
+        request = {"database": "demo", "mechanism": "TM", "epsilon": 0.5, "query": "Qc1"}
+        first, second = _demo_planner(SEED), _demo_planner(SEED + 1)
+        served = [p.execute(p.plan(request)) for p in (first, second)]
+        assert second.memo_hits == 0 and second.memo_misses == 1
+        assert served[0]["answers"] != served[1]["answers"]
+        for planner, payload in zip((first, second), served):
+            offline = _offline(planner, planner.plan(request))
+            assert payload["answers"] == [serialize_answer(a) for a in offline.answers]
+
+    def test_private_dimensions_never_share(self, fresh_backend):
+        request = {"database": "demo", "mechanism": "TM", "epsilon": 0.5, "query": "Qc1"}
+        default, customer_only = _demo_planner(), _demo_planner(private_dimensions=["Customer"])
+        assert default.database("demo").scenario != customer_only.database("demo").scenario
+        served = [p.execute(p.plan(request)) for p in (default, customer_only)]
+        assert customer_only.memo_hits == 0 and customer_only.memo_misses == 1
+        for planner, payload in zip((default, customer_only), served):
+            offline = _offline(planner, planner.plan(request))
+            assert payload["answers"] == [serialize_answer(a) for a in offline.answers]
+
+    def test_repeat_after_invalidate_misses(self, planner, fresh_backend):
+        planned = planner.plan(
+            {"database": "demo", "mechanism": "PM", "epsilon": 0.5, "query": "Qc2"}
+        )
+        first = planner.execute(planned)
+        ExecutionEngine.for_database(planned.entry.database).invalidate()
+        misses_before = planner.memo_misses
+        again = planner.execute(planned)
+        assert planner.memo_misses - misses_before == 1
+        assert again["answers"] == first["answers"]
+
+    def test_refusals_and_failures_are_refunded_and_never_stored(
+        self, fresh_backend, monkeypatch
+    ):
+        planner = _demo_planner()
+        original = planner._execute_star
+        broken = {"Qc3"}
+
+        def flaky(plan, stream):
+            if plan.query_name in broken:
+                raise QueryError("engine failure")
+            return original(plan, stream)
+
+        monkeypatch.setattr(planner, "_execute_star", flaky)
+        server = QueryServer(planner, BudgetLedger(PrivacyBudget(2.0)), port=0, workers=2)
+        with ServerThread(server):
+            with ServingClient(port=server.port) as client:
+                for mechanism, query, code in [
+                    ("PM", "Qc3", "query_error"),
+                    ("LS", "Qs2", "unsupported"),
+                ] * 2:
+                    with pytest.raises(ServingError) as info:
+                        client.query("demo", mechanism, 0.5, query=query, analyst="ivan")
+                    assert info.value.code == code
+                assert client.budget("ivan")["spent_epsilon"] == pytest.approx(0.0)
+                assert client.stats()["planner"]["memo"] == {"hits": 0, "misses": 4}
+                broken.clear()  # the engine recovers: the request now executes
+                answered = client.query("demo", "PM", 0.5, query="Qc3", analyst="ivan")
+                again = client.query("demo", "PM", 0.5, query="Qc3", analyst="ivan")
+                assert client.stats()["planner"]["memo"] == {"hits": 1, "misses": 5}
+        assert again["answers"] == answered["answers"]
+
+    def test_repeated_request_is_charged_every_time(self, planner, fresh_backend):
+        server = QueryServer(planner, BudgetLedger(PrivacyBudget(1.0)), port=0, workers=2)
+        with ServerThread(server):
+            with ServingClient(port=server.port) as client:
+                hits_before = client.stats()["planner"]["memo"]["hits"]
+                served = [
+                    client.query("demo", "PM", 0.2, query="Qc1", analyst="judy")
+                    for _ in range(3)
+                ]
+                memo = client.stats()["planner"]["memo"]
+                assert client.budget("judy")["spent_epsilon"] == pytest.approx(0.6)
+        assert memo["hits"] - hits_before == 2
+        assert [p["privacy"]["remaining_epsilon"] for p in served] == pytest.approx(
+            [0.8, 0.6, 0.4]
+        )
+        assert len({json.dumps(p["answers"]) for p in served}) == 1
+
+    def test_concurrent_repeats_count_every_lookup(self, planner, fresh_backend):
+        """Engine threads share the memo and its counters: every execution
+        (a single-flight leader) does exactly one lookup, and no answer
+        depends on which thread stored it."""
+        plans = [
+            planner.plan(
+                {"database": "demo", "mechanism": "PM", "epsilon": epsilon, "query": "Qc2"}
+            )
+            for epsilon in (0.25, 0.35, 0.45)
+        ]
+        executions_before = planner.singleflight.executions
+        lookups_before = planner.memo_hits + planner.memo_misses
+        answers = {index: set() for index in range(len(plans))}
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(60):
+                    index = (offset + step) % len(plans)
+                    payload = planner.execute(plans[index])
+                    answers[index].add(json.dumps(payload["answers"]))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,)) for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        executions = planner.singleflight.executions - executions_before
+        assert planner.memo_hits + planner.memo_misses - lookups_before == executions
+        assert all(len(blobs) == 1 for blobs in answers.values())
+
+    def test_private_server_strips_error_fields_on_a_hit(self, planner, fresh_backend):
+        request = {"database": "demo", "mechanism": "PM", "epsilon": 0.3, "query": "Qc1"}
+        server = QueryServer(
+            planner, BudgetLedger(PrivacyBudget(1.0)), port=0, accuracy_metadata=False
+        )
+        hits_before = planner.memo_hits
+        with ServerThread(server):
+            with ServingClient(port=server.port) as client:
+                served = [
+                    client.query("demo", "PM", 0.3, query="Qc1", analyst="kim")
+                    for _ in range(2)
+                ]
+        assert planner.memo_hits - hits_before == 1
+        for payload in served:
+            assert "mean_relative_error" not in payload
+            assert "median_relative_error" not in payload
+        assert served[0]["answers"] == served[1]["answers"]
+        # Stripping a caller's copy leaves the memoized payload whole.
+        direct = planner.execute(planner.plan(request))
+        assert "mean_relative_error" in direct and "median_relative_error" in direct
 
 
 # ----------------------------------------------------------------------
