@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import DataGenerationError
 from repro.rng import RngLike, ensure_rng
@@ -31,7 +30,24 @@ __all__ = [
     "GaussianMixtureSpec",
     "KEY_DISTRIBUTIONS",
     "MEASURE_DISTRIBUTIONS",
+    "scipy_stats",
 ]
+
+
+def scipy_stats():
+    """The ``scipy.stats`` module, imported on the first call.
+
+    Only the gamma and Gaussian-mixture key shapes and the exponential and
+    gamma measure supports use it.  Importing it costs about half a second
+    and ~60 MB of resident memory, so it is kept off every import path: a
+    process that never draws skewed data (the query server, the cache
+    server, the fleet router) never loads it.  A forking caller that will
+    draw skewed data in its workers calls this first, so they inherit the
+    module instead of each importing it mid-run.
+    """
+    from scipy import stats
+
+    return stats
 
 
 @dataclass(frozen=True)
@@ -242,7 +258,7 @@ def _exponential_probabilities(size: int, scale_fraction: float = 0.25) -> np.nd
 
 def _gamma_probabilities(size: int, shape: float = 2.0, scale_fraction: float = 0.15) -> np.ndarray:
     positions = np.arange(size) + 0.5
-    return stats.gamma.pdf(positions, a=shape, scale=max(size * scale_fraction, 1.0))
+    return scipy_stats().gamma.pdf(positions, a=shape, scale=max(size * scale_fraction, 1.0))
 
 
 def _zipf_probabilities(size: int, exponent: float = 1.2) -> np.ndarray:
@@ -253,6 +269,7 @@ def _zipf_probabilities(size: int, exponent: float = 1.2) -> np.ndarray:
 def _gaussian_mixture_probabilities(size: int, spec: GaussianMixtureSpec) -> np.ndarray:
     positions = np.arange(size, dtype=np.float64)
     density = np.zeros(size, dtype=np.float64)
+    stats = scipy_stats()
     for weight, mean_fraction, std_fraction in zip(spec.weights, spec.means, spec.stds):
         mean = mean_fraction * size
         std = max(std_fraction * size, 0.5)
@@ -343,7 +360,7 @@ _register_measure(
     lambda scale=1.0: MeasureSampler(
         "exponential",
         lambda rng, n: rng.exponential(scale, size=n),
-        support=(0.0, float(stats.expon.ppf(0.999, scale=scale))),
+        support=(0.0, float(scipy_stats().expon.ppf(0.999, scale=scale))),
     ),
 )
 _register_measure(
@@ -351,7 +368,7 @@ _register_measure(
     lambda shape=2.0, scale=1.0: MeasureSampler(
         "gamma",
         lambda rng, n: rng.gamma(shape, scale, size=n),
-        support=(0.0, float(stats.gamma.ppf(0.999, a=shape, scale=scale))),
+        support=(0.0, float(scipy_stats().gamma.ppf(0.999, a=shape, scale=scale))),
     ),
 )
 _register_measure(

@@ -21,6 +21,7 @@ namespace is always safe — the engine recomputes on the next miss.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Any, Hashable, Iterable, Optional, Union
 
@@ -62,6 +63,13 @@ class UtilityCache:
 
     Each entry's raw cost is kept alongside its priority: the cache server
     returns it on hits and persists it (:meth:`metadata`, :meth:`restore`).
+
+    Victims come off a lazy-deletion min-heap of ``(priority, seq, key)``,
+    pushed on every access, so an evicting put costs O(log n) rather than a
+    scan of every entry.  ``seq`` is unique per access, so a heap item is
+    live exactly when its ``seq`` is still the entry's; stale items are
+    skipped when popped, and the heap is rebuilt from the live entries
+    whenever a push would take it past twice as many items as entries.
     """
 
     def __init__(
@@ -81,6 +89,7 @@ class UtilityCache:
         self._clock = 0.0  # the inflating GDSF clock L
         self._seq = 0  # access sequence: tie-break + LRU counter
         self._bytes = 0
+        self._heap: list[tuple] = []  # (priority, seq, key), some stale
 
     # ------------------------------------------------------------------
     def _priority(self, seq: int, freq: int, term: float) -> float:
@@ -98,6 +107,7 @@ class UtilityCache:
         meta[1] = self._seq
         meta[3] += 1  # frequency
         meta[0] = self._priority(meta[1], meta[3], meta[4])
+        self._push(key, meta)
         return value
 
     def cost(self, key: Hashable) -> Optional[float]:
@@ -131,20 +141,36 @@ class UtilityCache:
         if priority is None:
             priority = self._priority(seq, freq, term)
         self._data[key] = value
-        self._meta[key] = [priority, seq, nbytes, freq, term, cost]
+        meta = self._meta[key] = [priority, seq, nbytes, freq, term, cost]
         self._bytes += nbytes
+        self._push(key, meta)
+
+    def _push(self, key: Hashable, meta: list) -> None:
+        """Record the entry's current ``(priority, seq)`` on the heap."""
+        if len(self._heap) >= 2 * len(self._meta):
+            self._rebuild_heap()  # drops the stale items; ``key`` is in it now
+        else:
+            heapq.heappush(self._heap, (meta[0], meta[1], key))
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(meta[0], meta[1], key) for key, meta in self._meta.items()]
+        heapq.heapify(self._heap)
 
     def _evict_over_budget(self) -> list:
-        """Evict lowest-priority entries until both bounds hold, raising the
-        decay clock to each victim's priority; return the evicted keys."""
+        """Evict lowest-priority entries (ties: oldest access) until both
+        bounds hold, raising the decay clock to each victim's priority;
+        return the evicted keys."""
         evicted = []
         while len(self._data) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes and len(self._data) > 1
         ):
-            victim, meta = min(self._meta.items(), key=lambda item: (item[1][0], item[1][1]))
+            priority, seq, victim = heapq.heappop(self._heap)
+            meta = self._meta.get(victim)
+            if meta is None or meta[1] != seq:
+                continue  # stale: the entry was accessed again or is gone
             self._discard(victim)
             if self.policy != "lru":
-                self._clock = max(self._clock, meta[0])
+                self._clock = max(self._clock, priority)
             evicted.append(victim)
         return evicted
 
@@ -156,6 +182,7 @@ class UtilityCache:
     def clear(self) -> None:
         self._data.clear()
         self._meta.clear()
+        self._heap.clear()
         self._bytes = 0
         self._clock = 0.0
 
@@ -178,6 +205,8 @@ class UtilityCache:
         for key, value, cost, freq, seq, priority in entries:
             self._insert(key, value, cost, value_nbytes(value), freq, seq, priority)
             self._seq = max(self._seq, seq)
+        # A persisted seq may repeat one a stale heap item still carries.
+        self._rebuild_heap()
         return self._evict_over_budget()
 
     @property

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+from repro.datagen.distributions import scipy_stats
 from repro.db.cache import make_backend, set_active_backend
 from repro.db.engine import ExecutionEngine
 from repro.db.executor import QueryExecutor
@@ -395,6 +396,11 @@ def evaluation_session(config: ExperimentConfig) -> Iterator[TrialScheduler]:
       snapshots) and, with ``config.trace_path``, a run-wide tracer whose
       JSONL file collects spans from every process of the run.
 
+    With ``jobs > 1`` it also imports the skewed-data samplers' scipy
+    (:func:`~repro.datagen.distributions.scipy_stats`) before the pool can
+    fork, so workers inherit it instead of each paying the ~0.5 s import
+    inside an experiment.
+
     Teardown order matters and is the reverse: the pool is closed first (no
     worker may touch the cache server afterwards), then the backend is
     closed (stopping a remote backend's embedded server), then the
@@ -427,6 +433,8 @@ def evaluation_session(config: ExperimentConfig) -> Iterator[TrialScheduler]:
     # increments land in the parent's snapshot; the tracer module global is
     # likewise inherited, collecting the whole pool's spans in one file.
     previous_registry = set_active_registry(MetricsRegistry(shared=config.jobs > 1))
+    if config.jobs > 1:
+        scipy_stats()  # for the workers to inherit (see the docstring)
     tracer = Tracer(config.trace_path) if config.trace_path else None
     previous_tracer = set_active_tracer(tracer) if tracer is not None else None
     previous_scheduler = _ACTIVE_SCHEDULER

@@ -25,6 +25,7 @@ injection — is covered in ``tests/test_cache_server.py``.
 from __future__ import annotations
 
 import dataclasses
+import random
 import sys
 import threading
 
@@ -578,6 +579,23 @@ class TestEngineBackendIntegration:
 # ----------------------------------------------------------------------
 # cost-aware eviction economics
 # ----------------------------------------------------------------------
+class _MinScanCache(UtilityCache):
+    """Reference victim choice: scan every entry for the least
+    ``(priority, seq)``, the order :class:`UtilityCache`'s heap must keep."""
+
+    def _evict_over_budget(self) -> list:
+        evicted = []
+        while len(self._data) > self.max_entries or (
+            self.max_bytes is not None and self._bytes > self.max_bytes and len(self._data) > 1
+        ):
+            victim, meta = min(self._meta.items(), key=lambda item: (item[1][0], item[1][1]))
+            self._discard(victim)
+            if self.policy != "lru":
+                self._clock = max(self._clock, meta[0])
+            evicted.append(victim)
+        return evicted
+
+
 class TestUtilityCache:
     """The GDSF store behind every bounded in-process region."""
 
@@ -654,6 +672,49 @@ class TestUtilityCache:
         cache.put("third", 2.0)
         assert cache.get("big-old") is None  # oldest goes, size irrelevant
         assert cache.get("small-new") == 1.0
+
+    @pytest.mark.parametrize("policy", ["cost", "lru"])
+    @pytest.mark.parametrize("max_bytes", [None, 150, 2000])
+    def test_heap_picks_the_same_victims_as_a_full_scan(self, policy, max_bytes):
+        """A seeded history of puts (oversize ones included), gets, clears
+        and restore round trips evicts step for step what a scan of every
+        entry for the least ``(priority, seq)`` evicts."""
+        rng = random.Random(f"{policy}-{max_bytes}")
+
+        def pair(entries=None, clock=0.0, max_entries=12):
+            caches = (
+                UtilityCache(max_entries, max_bytes, policy),
+                _MinScanCache(max_entries, max_bytes, policy),
+            )
+            results = [cache.restore(entries or [], clock) for cache in caches]
+            assert results[0] == results[1]
+            return caches
+
+        def saved(cache):
+            entries = []
+            for key, value in cache._data.items():
+                cost, _nbytes, freq, seq, priority = cache.metadata(key)
+                entries.append((key, value, cost, freq, seq, priority))
+            return entries
+
+        heap, scan = pair()
+        for _ in range(2000):
+            step = rng.random()
+            key = rng.randrange(30)
+            if step < 0.55:
+                value = np.zeros(rng.choice([0, 1, 4, 8, 12, 30]))
+                cost = rng.choice([None, 1e-6, 1e-4, 0.01, 1.0])
+                assert heap.put(key, value, cost) == scan.put(key, value, cost)
+            elif step < 0.95:
+                assert (heap.get(key) is None) == (scan.get(key) is None)
+            elif step < 0.96:
+                heap.clear()
+                scan.clear()
+            else:
+                heap, scan = pair(saved(heap), heap._clock, rng.choice([4, 12, 20]))
+            assert list(heap._data) == list(scan._data)
+            assert heap._clock == scan._clock and heap.nbytes == scan.nbytes
+            assert len(heap._heap) <= 2 * (heap.max_entries + 1)
 
     def test_value_nbytes_estimates(self):
         assert value_nbytes(np.zeros(8)) == 64

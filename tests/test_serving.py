@@ -340,9 +340,20 @@ class TestOfflineParity:
         try:
             with backend_scope(remote_backend):
                 remote = planner.execute(planner.plan(request))
-                # Run twice through the server: the second pass is served
-                # from cache and must not change the bytes either.
-                remote_again = planner.execute(planner.plan(request))
+            # Run twice through the server: the second pass is a new client
+            # (an empty L1, so it misses the memo) executing on the
+            # artefacts the first left in the server, and must not change
+            # the bytes either.
+            second_client = RemoteCacheBackend(host="127.0.0.1", port=remote_backend.port)
+            misses_before = planner.memo_misses
+            try:
+                with backend_scope(second_client):
+                    remote_again = planner.execute(planner.plan(request))
+                shared_hits = second_client.stats().shared_hits
+            finally:
+                second_client.close()
+            assert planner.memo_misses - misses_before == 1
+            assert shared_hits > 0
         finally:
             remote_backend.close()
         assert (
@@ -363,9 +374,14 @@ class TestOfflineParity:
             "query": "Qc3",
             "trials": 2,
         }
-        untraced = planner.execute(planner.plan(request))
-        with trace_scope(str(tmp_path / "trace.jsonl")):
+        # Each pass on a fresh backend: a repeat on one backend would be a
+        # memo hit, comparing the first pass's payload with itself.
+        with backend_scope(LocalCacheBackend()):
+            untraced = planner.execute(planner.plan(request))
+        misses_before = planner.memo_misses
+        with backend_scope(LocalCacheBackend()), trace_scope(str(tmp_path / "trace.jsonl")):
             traced = planner.execute(planner.plan(request))
+        assert planner.memo_misses - misses_before == 1
         assert json.dumps(traced["answers"]) == json.dumps(untraced["answers"])
         assert traced["mean_relative_error"] == untraced["mean_relative_error"]
 
@@ -400,8 +416,15 @@ class TestRemoteCacheServerParity:
                 with backend_scope(backend):
                     planner = self._fresh_planner()
                     first = planner.execute(planner.plan(self.REQUEST))
-                    # The second pass is served from the cache server tier.
+            finally:
+                backend.close()
+            # The second pass is a new client with an empty L1: it misses
+            # the memo and executes on the first pass's server artefacts.
+            backend = RemoteCacheBackend(host="127.0.0.1", port=handle.server.port)
+            try:
+                with backend_scope(backend):
                     again = planner.execute(planner.plan(self.REQUEST))
+                    assert (planner.memo_hits, planner.memo_misses) == (0, 2)
             finally:
                 backend.close()
         assert (
